@@ -26,8 +26,7 @@ struct JsonRecord {
                                   // carry the edge) | "asymmetric"
                                   // (FastAsymmetric + util/asymmetric_fence.h)
   int threads = 0;
-  int shards = 1;         // shard count (1 for the unsharded scenarios; the
-                          // settled operating point for adaptive_* cells)
+  int shards = 1;         // shard count (1 for the unsharded scenarios)
   std::uint64_t ops = 0;      // completed operations across all threads
   double seconds = 0.0;       // measured wall time
   double ops_per_sec = 0.0;   // ops / seconds

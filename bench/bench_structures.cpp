@@ -10,7 +10,6 @@
 //     cheaper-dereference/weaker-space-bound epoch sibling),
 //   * Treiber + LL/SC head (Moir-style unbounded-tag LL/SC — the object the
 //     paper's constructions provide from bounded primitives),
-//   * the pointer-based, heap-allocating hazard stack (HpTreiberStack),
 //   * a mutex-guarded stack (the non-lock-free control),
 // plus the Michael-Scott queue under the tagged and hazard reclaimers.
 // The LeakyReclaimer floor is measured in E9 (bench_throughput_matrix),
@@ -38,7 +37,6 @@
 #include "reclaim/epoch.h"
 #include "reclaim/hazard_pointer.h"
 #include "reclaim/tagged.h"
-#include "structures/hp_stack.h"
 #include "structures/ms_queue.h"
 #include "structures/ring_buffer.h"
 #include "structures/treiber_stack.h"
@@ -85,11 +83,6 @@ struct LlscStackBundle {
 LlscStackBundle& llsc_stack() {
   static LlscStackBundle bundle;
   return bundle;
-}
-
-structures::HpTreiberStack<std::uint64_t>& hp_stack() {
-  static structures::HpTreiberStack<std::uint64_t> stack(kMaxThreads);
-  return stack;
 }
 
 class MutexStack {
@@ -159,17 +152,6 @@ void BM_Stack_LlscHead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Stack_LlscHead)->Threads(1)->Threads(2)->Threads(4);
-
-void BM_Stack_HazardPointers(benchmark::State& state) {
-  auto& stack = hp_stack();
-  const int pid = state.thread_index();
-  std::uint64_t out = 0;
-  for (auto _ : state) {
-    stack.push(pid, 42);
-    benchmark::DoNotOptimize(stack.pop(pid, out));
-  }
-}
-BENCHMARK(BM_Stack_HazardPointers)->Threads(1)->Threads(2)->Threads(4);
 
 void BM_Stack_Mutex(benchmark::State& state) {
   auto& stack = mutex_stack();

@@ -32,13 +32,7 @@
 //     sharded_treiber_stack, sharded_ms_queue
 //                           — the structures/sharded.h wrappers: the same
 //                             pairs spread over --shards per-shard heads
-//                             with home-shard routing and bounded stealing;
-//     adaptive_sharded_stack, adaptive_sharded_queue
-//                           — the structures/adaptive_sharded.h facades
-//                             picking their active width at runtime from
-//                             measured CAS-failure rates; the record's
-//                             "shards" field is the width the facade had
-//                             settled on when the cell ended.
+//                             with home-shard routing and bounded stealing.
 //
 //   ring family (structures/ring_buffer.h; reclaimer = "none" — the
 //   per-slot sequence words are the ABA answer, there is nothing to
@@ -87,10 +81,10 @@
 //   --reclaimers=tagged,epoch     reclamation policies to sweep (default all
 //                                 of tagged,leaky,hazard,hazard_cached,
 //                                 epoch,epoch_deferred)
-//   --shards=1,2,4,8,adaptive     shard counts for the sharded scenarios
-//                                 (compiled instantiations: 1, 2, 4, 8) and
-//                                 the adaptive-facade cells; a list without
-//                                 "adaptive" disables those cells
+//   --shards=1,2,4,8              shard counts for the sharded scenarios
+//                                 (compiled instantiations: 1, 2, 4, 8); a
+//                                 token that is not a positive integer is
+//                                 an error (exit 2)
 //   --pin                         pin threads round-robin over online cores
 //   --latency                     also record per-op latency percentiles for
 //                                 the headline legacy cells (treiber_stack,
@@ -125,7 +119,6 @@
 #include "reclaim/hazard_pointer.h"
 #include "reclaim/leaky.h"
 #include "reclaim/tagged.h"
-#include "structures/adaptive_sharded.h"
 #include "structures/ms_queue.h"
 #include "structures/ring_buffer.h"
 #include "structures/sharded.h"
@@ -349,7 +342,7 @@ struct TscRecorder {
 };
 
 // The push;pop-pair worker every contended stack cell runs (the sharded
-// and adaptive wrappers expose the same surface, so one worker serves all).
+// wrapper exposes the same surface, so one worker serves both).
 template <class Stack, class Rec = NullRecorder>
 auto stack_pair_worker(Stack& stack, int pid, Rec rec = {}) {
   return [&stack, pid, rec, v = std::uint64_t{0}]() mutable {
@@ -520,37 +513,6 @@ Cell run_sharded_queue(int n, double secs) {
   Queue queue(env, n, pool_per_thread_per_shard<R>(n, kShards));
   return measure(n, secs,
                  [&](int pid) { return queue_pair_worker(queue, pid); });
-}
-
-// ------------------------------------------------ the adaptive dimension
-
-constexpr int kAdaptiveMaxShards = 8;
-
-template <class P, class R>
-Cell run_adaptive_stack(int n, double secs, int* settled) {
-  using Head = structures::TaggedCasHead<P>;
-  using Stack =
-      structures::AdaptiveShardedStack<P, Head, R, kAdaptiveMaxShards>;
-  typename P::Env env;
-  Stack stack(env, n, Stack::make_heads(env, n),
-              pool_per_thread_per_shard<R>(n, kAdaptiveMaxShards),
-              structures::AdaptiveOptions{});
-  const Cell cell = measure(
-      n, secs, [&](int pid) { return stack_pair_worker(stack, pid); });
-  *settled = stack.active_shards();
-  return cell;
-}
-
-template <class P, class R>
-Cell run_adaptive_queue(int n, double secs, int* settled) {
-  using Queue = structures::AdaptiveShardedQueue<P, R, kAdaptiveMaxShards>;
-  typename P::Env env;
-  Queue queue(env, n, pool_per_thread_per_shard<R>(n, kAdaptiveMaxShards),
-              structures::AdaptiveOptions{});
-  const Cell cell = measure(
-      n, secs, [&](int pid) { return queue_pair_worker(queue, pid); });
-  *settled = queue.active_shards();
-  return cell;
 }
 
 // ------------------------------------------------------- the ring family
@@ -741,7 +703,6 @@ struct MatrixConfig {
   std::vector<std::string> reclaimers;
   std::vector<int> shard_counts;
   std::vector<std::string> scenarios;  // --scenarios filter; empty = all.
-  bool adaptive = true;
   bool pin = false;
   bool latency = false;  // --latency: percentiles for treiber_stack/ms_queue.
   double secs = 0.2;
@@ -793,58 +754,40 @@ void run_sharded_cells(const char* label, const char* orderings,
   const char* fence = fence_label<P>();
   const bool want_stack = scenario_wanted(config, "sharded_treiber_stack");
   const bool want_queue = scenario_wanted(config, "sharded_ms_queue");
-  if (want_stack || want_queue) {
-    for (const int shards : config.shard_counts) {
-      for (const int n : config.thread_counts) {
-        Cell stack_cell, queue_cell;
-        switch (shards) {
-          case 1:
-            stack_cell = run_sharded_stack<P, R, 1>(n, config.secs);
-            queue_cell = run_sharded_queue<P, R, 1>(n, config.secs);
-            break;
-          case 2:
-            stack_cell = run_sharded_stack<P, R, 2>(n, config.secs);
-            queue_cell = run_sharded_queue<P, R, 2>(n, config.secs);
-            break;
-          case 4:
-            stack_cell = run_sharded_stack<P, R, 4>(n, config.secs);
-            queue_cell = run_sharded_queue<P, R, 4>(n, config.secs);
-            break;
-          case 8:
-            stack_cell = run_sharded_stack<P, R, 8>(n, config.secs);
-            queue_cell = run_sharded_queue<P, R, 8>(n, config.secs);
-            break;
-          default:
-            std::fprintf(stderr,
-                         "shard count %d not instantiated (want 1|2|4|8)\n",
-                         shards);
-            continue;
-        }
-        if (want_stack) {
-          emit(report, "sharded_treiber_stack", label, orderings, R::kName,
-               fence, n, shards, stack_cell);
-        }
-        if (want_queue) {
-          emit(report, "sharded_ms_queue", label, orderings, R::kName, fence, n,
-               shards, queue_cell);
-        }
-      }
-    }
-  }
-  if (config.adaptive) {
+  if (!want_stack && !want_queue) return;
+  for (const int shards : config.shard_counts) {
     for (const int n : config.thread_counts) {
-      int settled = 1;
-      if (scenario_wanted(config, "adaptive_sharded_stack")) {
-        const Cell stack_cell =
-            run_adaptive_stack<P, R>(n, config.secs, &settled);
-        emit(report, "adaptive_sharded_stack", label, orderings, R::kName,
-             fence, n, settled, stack_cell);
+      Cell stack_cell, queue_cell;
+      switch (shards) {
+        case 1:
+          stack_cell = run_sharded_stack<P, R, 1>(n, config.secs);
+          queue_cell = run_sharded_queue<P, R, 1>(n, config.secs);
+          break;
+        case 2:
+          stack_cell = run_sharded_stack<P, R, 2>(n, config.secs);
+          queue_cell = run_sharded_queue<P, R, 2>(n, config.secs);
+          break;
+        case 4:
+          stack_cell = run_sharded_stack<P, R, 4>(n, config.secs);
+          queue_cell = run_sharded_queue<P, R, 4>(n, config.secs);
+          break;
+        case 8:
+          stack_cell = run_sharded_stack<P, R, 8>(n, config.secs);
+          queue_cell = run_sharded_queue<P, R, 8>(n, config.secs);
+          break;
+        default:
+          std::fprintf(stderr,
+                       "shard count %d not instantiated (want 1|2|4|8)\n",
+                       shards);
+          continue;
       }
-      if (scenario_wanted(config, "adaptive_sharded_queue")) {
-        const Cell queue_cell =
-            run_adaptive_queue<P, R>(n, config.secs, &settled);
-        emit(report, "adaptive_sharded_queue", label, orderings, R::kName,
-             fence, n, settled, queue_cell);
+      if (want_stack) {
+        emit(report, "sharded_treiber_stack", label, orderings, R::kName,
+             fence, n, shards, stack_cell);
+      }
+      if (want_queue) {
+        emit(report, "sharded_ms_queue", label, orderings, R::kName, fence, n,
+             shards, queue_cell);
       }
     }
   }
@@ -1024,6 +967,24 @@ std::vector<int> parse_ints(const std::string& csv) {
   return out;
 }
 
+// Strict --shards parsing: every token must be a positive integer, so a
+// typo fails the run instead of silently shrinking the sweep.
+bool parse_shard_counts(const std::string& csv, std::vector<int>* out) {
+  out->clear();
+  for (const auto& tok : parse_csv(csv)) {
+    char* end = nullptr;
+    const long n = std::strtol(tok.c_str(), &end, 10);
+    if (*end != '\0' || n < 1) {
+      std::fprintf(stderr, "invalid shard count '%s' (want e.g. 1,2,4,8)\n",
+                   tok.c_str());
+      return false;
+    }
+    out->push_back(static_cast<int>(n));
+  }
+  if (out->empty()) std::fprintf(stderr, "no shard counts selected\n");
+  return !out->empty();
+}
+
 std::vector<std::string> parse_reclaimers(const std::string& csv) {
   std::vector<std::string> out;
   for (const auto& tok : parse_csv(csv)) {
@@ -1068,16 +1029,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg.rfind("--shards=", 0) == 0) {
-      // An explicit list opts in (or out) of each shard dimension: numeric
-      // tokens select compile-time counts, "adaptive" selects the facade.
-      const std::string list = arg.substr(std::strlen("--shards="));
-      config.shard_counts = parse_ints(list);
-      config.adaptive = false;
-      for (const auto& tok : parse_csv(list)) {
-        if (tok == "adaptive") config.adaptive = true;
-      }
-      if (config.shard_counts.empty() && !config.adaptive) {
-        std::fprintf(stderr, "no valid shard counts selected\n");
+      if (!parse_shard_counts(arg.substr(std::strlen("--shards=")),
+                              &config.shard_counts)) {
         return 2;
       }
     } else if (arg == "--pin") {
@@ -1096,7 +1049,7 @@ int main(int argc, char** argv) {
                    "[--threads=1,2,4] "
                    "[--reclaimers=tagged,leaky,hazard,hazard_cached,epoch,"
                    "epoch_deferred] "
-                   "[--shards=1,2,4,8,adaptive] [--pin] [--latency] "
+                   "[--shards=1,2,4,8] [--pin] [--latency] "
                    "[--scenarios=name,name]\n",
                    argv[0]);
       return 2;

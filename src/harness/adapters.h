@@ -256,17 +256,6 @@ using ShardedStackInvoker = ShardTagging<StackInvoker<Impl>>;
 template <class Impl>
 using ShardedQueueInvoker = ShardTagging<QueueInvoker<Impl>>;
 
-// The adaptive facades (structures/adaptive_sharded.h) expose the same
-// push/pop / enqueue/dequeue / last_shard(p) surface, so the tagging
-// invokers drive them unchanged; the aliases exist so tests read as what
-// they test. The tags are what splits an adaptive history into per-shard
-// sub-histories even as the facade moves its active width mid-run — the
-// landing shard, not the width at the time, is the linearizability unit.
-template <class Impl>
-using AdaptiveStackInvoker = ShardTagging<StackInvoker<Impl>>;
-template <class Impl>
-using AdaptiveQueueInvoker = ShardTagging<QueueInvoker<Impl>>;
-
 // Builds a FixtureFactory for any Impl constructible from
 // (SimWorld&, int n, Args...), wired through the given Invoker template
 // (StackInvoker, QueueInvoker, ...). Args are captured by value and must be

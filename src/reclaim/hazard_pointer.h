@@ -1,8 +1,7 @@
 // HazardPointerReclaimer — Michael's hazard pointers over the index pool,
 // with a pluggable guard-publication mode.
 //
-// Migrated from the pointer-based HazardDomain (now reclaim/hazard_domain.h)
-// into a platform-generic index policy: each process owns kSlotsPerProcess
+// A platform-generic index policy: each process owns kSlotsPerProcess
 // single-writer multi-reader Platform registers; guard(p, slot, i) publishes
 // i there, and the structure re-validates its source word after the publish
 // (if the word is unchanged, node i was not yet retired when the guard
@@ -413,7 +412,7 @@ class HazardPointerReclaimer {
   // unique_ptr because platform objects wrap std::atomic and are immovable;
   // the native Fast policy pads each register to its own cache line, which
   // keeps one process's publish/clear traffic from invalidating its
-  // neighbours' slots (the role HazardDomain's alignas played).
+  // neighbours' slots.
   std::vector<std::unique_ptr<typename P::Register>> slots_;
   std::vector<PerProcess> procs_;
   std::size_t pool_size_ = 0;

@@ -9,9 +9,10 @@
 // predictable branch per failed attempt, nothing per success). The counter
 // is ordinary process memory, not a Platform object: it takes no simulated
 // steps, never perturbs deterministic schedules, and costs no shared steps
-// in the paper's model — it is instrumentation for the adaptive sharding
-// facade (structures/adaptive_sharded.h), which samples failure *rates*
-// (failures per routed operation) to pick its operating point.
+// in the paper's model. It is structure-level telemetry: benches attach one
+// probe per protected head (per shard, under structures/sharded.h) and
+// report failures per operation, and the tests pin that it counts exactly
+// the failed CASes.
 #pragma once
 
 #include <atomic>

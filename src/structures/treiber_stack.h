@@ -213,8 +213,8 @@ class TreiberStack {
     if constexpr (requires { reclaimer_.detach(p); }) reclaimer_.detach(p);
   }
 
-  // Attaches the CAS-failure telemetry the adaptive sharding facade reads
-  // (structures/contention.h). Set before concurrent use; null disables.
+  // Attaches CAS-failure telemetry (structures/contention.h): one count per
+  // failed head CAS. Set before concurrent use; null disables.
   void set_contention_probe(ContentionProbe* probe) { probe_ = probe; }
 
   std::size_t pool_size() const { return nodes_.size(); }

@@ -6,7 +6,7 @@
 //     timestamped with a shared atomic clock, checked against the
 //     sequential specs (one fresh object per burst);
 //   - invariant stress: longer runs checking sound one-sided invariants
-//     (e.g. a DWrite completing strictly between two DReads MUST be
+//     (e.g. a DWrite contained strictly between two DReads MUST be
 //     flagged; an SC succeeding implies no SC succeeded since the LL).
 #include <gtest/gtest.h>
 
@@ -174,52 +174,118 @@ TEST(NativeRegArray, BurstHistoriesLinearizable) {
 
 // -------------------------------------------------------- invariant stress
 
-TEST(NativeFig4Stress, ContainedWritesAreAlwaysFlagged) {
-  using Fig4 = core::AbaRegisterBounded<NativeP>;
-  const int n = 4;  // 1 writer + 3 readers.
-  Fig4 reg(g_env, n, Fig4::Options{.value_bits = 4});
+// The sound-window oracle for DRead flags. A single writer bumps
+// `writes_started` before each DWrite and `writes_completed` after it; a
+// reader samples `writes_completed` at each DRead's invocation and
+// `writes_started` at its response. Some DWrite then started after the
+// previous DRead responded and completed before this DRead was invoked —
+// the one case the spec requires flagged — iff the invocation sample
+// exceeds the previous response sample. A completion bump that lags past a
+// response owes nothing: that DWrite may overlap the previous DRead, which
+// could already have reported it.
+class ContainedWriteOracle {
+ public:
+  // `started_now`: `writes_started` sampled before the reader's first DRead.
+  explicit ContainedWriteOracle(std::uint64_t started_now)
+      : started_at_prev_response_(started_now) {}
+
+  // Records one DRead; returns true iff it owed a flag and reported none.
+  bool missed(std::uint64_t completed_at_invoke, bool flag,
+              std::uint64_t started_at_response) {
+    const bool owed = completed_at_invoke > started_at_prev_response_;
+    started_at_prev_response_ = started_at_response;
+    return owed && !flag;
+  }
+
+ private:
+  std::uint64_t started_at_prev_response_;
+};
+
+TEST(ContainedWriteOracle, LaggingCompletionBumpOwesNoFlag) {
+  // started=1, DWrite runs; DRead #1 overlaps it, flags it, and responds
+  // (started=1); the writer's completion bump lands; DRead #2 is invoked
+  // (completed=1). The write was not contained between the two DReads.
+  ContainedWriteOracle oracle(/*started_now=*/0);
+  EXPECT_FALSE(oracle.missed(/*completed_at_invoke=*/0, /*flag=*/true,
+                             /*started_at_response=*/1));
+  EXPECT_FALSE(oracle.missed(1, /*flag=*/false, 1));
+}
+
+TEST(ContainedWriteOracle, WholeWriteBetweenDReadsOwesAFlag) {
+  // DRead #1 responds (started=0); a whole DWrite runs (started=1,
+  // completed=1); DRead #2 is invoked (completed=1): it must flag. A
+  // register that suppresses the flag is caught; one that reports it is not.
+  ContainedWriteOracle suppressed(0);
+  EXPECT_FALSE(suppressed.missed(0, false, 0));
+  EXPECT_TRUE(suppressed.missed(1, /*flag=*/false, 1));
+
+  ContainedWriteOracle reported(0);
+  EXPECT_FALSE(reported.missed(0, false, 0));
+  EXPECT_FALSE(reported.missed(1, /*flag=*/true, 1));
+}
+
+struct ContainedWriteCounts {
+  std::uint64_t violations = 0;
+  std::uint64_t flagged_reads = 0;
+};
+
+// One writer (pid 0) DWrites `value & value_mask` in a loop while n - 1
+// readers each run a fixed number of DReads through the oracle; the writer
+// keeps writing until every reader is done, so writes genuinely overlap
+// reads on any scheduler.
+template <class Reg>
+ContainedWriteCounts contained_write_stress(Reg& reg, int n,
+                                            std::uint64_t value_mask) {
+  std::atomic<std::uint64_t> writes_started{0};
   std::atomic<std::uint64_t> writes_completed{0};
-  std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> violations{0};
   std::atomic<std::uint64_t> flagged_reads{0};
-
-  // Readers run a fixed number of reads; the writer keeps writing until all
-  // readers are done (so writes genuinely overlap reads on any scheduler).
   std::atomic<int> readers_running{n - 1};
   std::thread writer([&] {
     std::uint64_t i = 0;
     while (readers_running.load() > 0) {
-      reg.dwrite(0, i++ & 15);
+      writes_started.fetch_add(1);
+      reg.dwrite(0, i++ & value_mask);
       writes_completed.fetch_add(1);
       if ((i & 63) == 0) std::this_thread::yield();
     }
-    stop.store(true);
   });
-
   std::vector<std::thread> readers;
   for (int pid = 1; pid < n; ++pid) {
     readers.emplace_back([&, pid] {
-      // Count of completed writes sampled right after my previous DRead
-      // responded.
-      std::uint64_t after_prev = writes_completed.load();
+      ContainedWriteOracle oracle(writes_started.load());
       for (int i = 0; i < 3000; ++i) {
-        const std::uint64_t before_invoke = writes_completed.load();
+        const std::uint64_t completed_at_invoke = writes_completed.load();
         const auto [value, flag] = reg.dread(pid);
-        const std::uint64_t after_resp = writes_completed.load();
+        const std::uint64_t started_at_response = writes_started.load();
         if (flag) flagged_reads.fetch_add(1);
-        // Sound invariant: a DWrite that completed strictly inside the
-        // window (after my previous DRead responded, before this DRead was
-        // invoked) must be flagged.
-        if (!flag && before_invoke > after_prev) violations.fetch_add(1);
-        after_prev = after_resp;
+        if (oracle.missed(completed_at_invoke, flag, started_at_response)) {
+          violations.fetch_add(1);
+        }
+        // A tight loop leaves almost no room for a whole DWrite between two
+        // DReads, so few flags would be owed: every other DRead waits until
+        // one has run, which owes the next DRead a flag.
+        if (i % 2 == 0) {
+          while (writes_completed.load() <= started_at_response) {
+            std::this_thread::yield();
+          }
+        }
       }
       readers_running.fetch_sub(1);
     });
   }
   writer.join();
   for (auto& t : readers) t.join();
-  EXPECT_EQ(violations.load(), 0u);
-  EXPECT_GT(flagged_reads.load(), 0u);
+  return {violations.load(), flagged_reads.load()};
+}
+
+TEST(NativeFig4Stress, ContainedWritesAreAlwaysFlagged) {
+  using Fig4 = core::AbaRegisterBounded<NativeP>;
+  const int n = 4;  // 1 writer + 3 readers.
+  Fig4 reg(g_env, n, Fig4::Options{.value_bits = 4});
+  const auto counts = contained_write_stress(reg, n, 15);
+  EXPECT_EQ(counts.violations, 0u);
+  EXPECT_GT(counts.flagged_reads, 0u);
 }
 
 TEST(NativeFig3Stress, ScSuccessesAreExclusivePerLinkEpoch) {
@@ -258,38 +324,7 @@ TEST(NativeFig5Stress, ReductionFlagsContainedWrites) {
             Llsc::Options{.value_bits = 16, .initial_value = 0,
                           .initially_linked = true});
   core::AbaRegisterFromLlsc<Llsc> reg(llsc, n, 0);
-
-  std::atomic<std::uint64_t> writes_completed{0};
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> violations{0};
-
-  std::atomic<int> readers_running{n - 1};
-  std::thread writer([&] {
-    std::uint64_t i = 0;
-    while (readers_running.load() > 0) {
-      reg.dwrite(0, i++ & 255);
-      writes_completed.fetch_add(1);
-      if ((i & 63) == 0) std::this_thread::yield();
-    }
-    stop.store(true);
-  });
-  std::vector<std::thread> readers;
-  for (int pid = 1; pid < n; ++pid) {
-    readers.emplace_back([&, pid] {
-      std::uint64_t after_prev = writes_completed.load();
-      for (int i = 0; i < 3000; ++i) {
-        const std::uint64_t before_invoke = writes_completed.load();
-        const auto [value, flag] = reg.dread(pid);
-        const std::uint64_t after_resp = writes_completed.load();
-        if (!flag && before_invoke > after_prev) violations.fetch_add(1);
-        after_prev = after_resp;
-      }
-      readers_running.fetch_sub(1);
-    });
-  }
-  writer.join();
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(violations.load(), 0u);
+  EXPECT_EQ(contained_write_stress(reg, n, 255).violations, 0u);
 }
 
 // ----------------------------------------------------------- step counting

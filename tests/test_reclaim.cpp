@@ -35,8 +35,7 @@
 //     cached-guard mode gets;
 //   * retire_batch on the whole roster: observationally equivalent to the
 //     retire loop, amortized to one threshold check / stamp read / batch
-//     flush per call;
-//   * the migrated pointer-based HazardDomain / HpTreiberStack.
+//     flush per call.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -49,7 +48,6 @@
 #include "harness/harness.h"
 #include "native/native_platform.h"
 #include "reclaim/epoch.h"
-#include "reclaim/hazard_domain.h"
 #include "reclaim/hazard_pointer.h"
 #include "reclaim/leaky.h"
 #include "reclaim/reclaimer.h"
@@ -58,7 +56,6 @@
 #include "sim/sim_platform.h"
 #include "spec/lin_checker.h"
 #include "spec/specs.h"
-#include "structures/hp_stack.h"
 #include "structures/ms_queue.h"
 #include "structures/treiber_stack.h"
 #include "util/asymmetric_fence.h"
@@ -1506,106 +1503,6 @@ TEST(NativeAsymmetricFenceStress, DeferredEpochStackBalancedAccounting) {
     popped_sum.fetch_add(*v);
   }
   EXPECT_EQ(pushed_sum.load(), popped_sum.load());
-}
-
-// ------------------------------- migrated pointer-based hazard pointers
-
-TEST(HazardDomain, ProtectPinsAndScanDefers) {
-  HazardDomain domain(2, 1);
-  std::atomic<int*> src{new int(42)};
-  int* pinned = domain.protect(0, 0, src);
-  ASSERT_NE(pinned, nullptr);
-  EXPECT_EQ(*pinned, 42);
-
-  // Thread 1 retires the node while thread 0 still pins it.
-  bool deleted = false;
-  int* raw = src.exchange(nullptr);
-  domain.retire(1, raw, [&deleted](void* p) {
-    deleted = true;
-    delete static_cast<int*>(p);
-  });
-  domain.scan(1);
-  EXPECT_FALSE(deleted) << "pinned node must survive a scan";
-
-  domain.clear(0, 0);
-  domain.scan(1);
-  EXPECT_TRUE(deleted) << "unpinned node must be reclaimed";
-}
-
-TEST(HazardDomain, ProtectRevalidatesOnRace) {
-  HazardDomain domain(1, 1);
-  std::atomic<int*> src{new int(1)};
-  int* p = domain.protect(0, 0, src);
-  EXPECT_EQ(p, src.load());
-  delete src.load();
-}
-
-TEST(HazardDomain, ScanThresholdTriggersAutomatically) {
-  HazardDomain domain(1, 1);
-  int reclaimed = 0;
-  const std::size_t threshold = domain.scan_threshold();
-  for (std::size_t i = 0; i < threshold; ++i) {
-    domain.retire(0, new int(static_cast<int>(i)), [&reclaimed](void* p) {
-      ++reclaimed;
-      delete static_cast<int*>(p);
-    });
-  }
-  EXPECT_GT(reclaimed, 0) << "hitting the threshold must trigger a scan";
-}
-
-TEST(HpStack, SequentialLifo) {
-  structures::HpTreiberStack<int> stack(1);
-  stack.push(0, 1);
-  stack.push(0, 2);
-  int out = 0;
-  EXPECT_TRUE(stack.pop(0, out));
-  EXPECT_EQ(out, 2);
-  EXPECT_TRUE(stack.pop(0, out));
-  EXPECT_EQ(out, 1);
-  EXPECT_FALSE(stack.pop(0, out));
-}
-
-TEST(HpStack, ConcurrentStressBalancedAndLeakFree) {
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 2000;
-  auto stack = std::make_unique<structures::HpTreiberStack<std::uint64_t>>(kThreads);
-  std::atomic<std::uint64_t> pushed_sum{0}, popped_sum{0};
-  std::atomic<std::uint64_t> pushed_count{0}, popped_count{0};
-
-  std::vector<std::thread> threads;
-  for (int tid = 0; tid < kThreads; ++tid) {
-    threads.emplace_back([&, tid] {
-      util::Xoshiro256 rng(static_cast<std::uint64_t>(tid) + 1);
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        if (rng.chance(1, 2)) {
-          const std::uint64_t v = rng.below(1000) + 1;
-          stack->push(tid, v);
-          pushed_sum.fetch_add(v);
-          pushed_count.fetch_add(1);
-        } else {
-          std::uint64_t v = 0;
-          if (stack->pop(tid, v)) {
-            popped_sum.fetch_add(v);
-            popped_count.fetch_add(1);
-          }
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  // Drain and account: every pushed value must be popped exactly once.
-  std::uint64_t v = 0;
-  while (stack->pop(0, v)) {
-    popped_sum.fetch_add(v);
-    popped_count.fetch_add(1);
-  }
-  EXPECT_EQ(pushed_sum.load(), popped_sum.load());
-  EXPECT_EQ(pushed_count.load(), popped_count.load());
-
-  const std::uint64_t allocated = stack->allocated();
-  stack.reset();  // Destructor reclaims any still-retired nodes.
-  EXPECT_GT(allocated, 0u);
 }
 
 }  // namespace

@@ -15,13 +15,15 @@
 //     compete for the same last element under a step-controlled sim
 //     schedule — exactly one wins, in both resolution orders, and the
 //     per-shard histories stay linearizable;
-//   * random-schedule sweeps across (shards × head policy × reclaimer),
-//     splitting each history by the invoker's shard tags and checking
-//     every sub-history, plus multiset conservation;
+//   * random-schedule sweeps across (shards × head policy × reclaimer,
+//     cached-guard hazard and deferred epochs included), splitting each
+//     history by the invoker's shard tags and checking every sub-history,
+//     plus multiset conservation;
 //   * Fast ≡ Counted determinism on a token-serialized native workload for
 //     both sharded structures (the platform policy changes layout and
 //     instrumentation, never results);
-//   * native balanced-accounting stress (the suite CI's TSan job runs).
+//   * native balanced-accounting stress, including a cached-guard queue
+//     that detaches (the suite CI's TSan job runs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -430,6 +432,12 @@ TEST(ShardedSweep, TaggedHeadEpochReclaimer) {
   sharded_stack_sweep_over_shards<SweepShardedStack, TaggedHead,
                                   reclaim::EpochBasedReclaimer<SimP>>();
 }
+// Cached guards stay published between operations, so a process's guard on
+// one shard outlives its moves to the others.
+TEST(ShardedSweep, TaggedHeadCachedHazardReclaimer) {
+  sharded_stack_sweep_over_shards<SweepShardedStack, TaggedHead,
+                                  reclaim::CachedHazardPointerReclaimer<SimP>>();
+}
 // Deferred reuse keeps even a raw CAS head safe, per shard exactly as
 // unsharded (the reclaimer axis carries over with no cross-shard work).
 TEST(ShardedSweep, RawHeadHazardReclaimer) {
@@ -485,8 +493,18 @@ TEST(ShardedSweep, QueueHazardReclaimer) {
   sharded_queue_sweep<reclaim::HazardPointerReclaimer<SimP>, 2>();
   sharded_queue_sweep<reclaim::HazardPointerReclaimer<SimP>, 4>();
 }
+TEST(ShardedSweep, QueueCachedHazardReclaimer) {
+  sharded_queue_sweep<reclaim::CachedHazardPointerReclaimer<SimP>, 1>();
+  sharded_queue_sweep<reclaim::CachedHazardPointerReclaimer<SimP>, 2>();
+  sharded_queue_sweep<reclaim::CachedHazardPointerReclaimer<SimP>, 4>();
+}
 TEST(ShardedSweep, QueueEpochReclaimer) {
   sharded_queue_sweep<reclaim::EpochBasedReclaimer<SimP>, 2>();
+}
+// Four shards under deferred epochs: the shape of the queue_sharded
+// benchmark workload.
+TEST(ShardedSweep, QueueDeferredEpochReclaimer) {
+  sharded_queue_sweep<reclaim::DeferredEpochReclaimer<SimP>, 4>();
 }
 
 // ------------------------------------------- Fast ≡ Counted determinism
@@ -628,9 +646,12 @@ TEST(ShardedNativeStress, StackHazardReclaimerBalancedAccounting) {
   EXPECT_EQ(pushed_sum.load(), popped_sum.load());
 }
 
-TEST(ShardedNativeStress, QueueBalancedAccounting) {
-  using Queue =
-      ShardedMsQueue<NativeP, reclaim::TaggedReclaimer<NativeP>, 4>;
+// Each thread detaches when it leaves: a no-op for guard-free reclaimers,
+// and for cached guards the release of what stays published between
+// operations on every shard the thread touched.
+template <class R>
+void sharded_queue_balanced_accounting() {
+  using Queue = ShardedMsQueue<NativeP, R, 4>;
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 1000;
   typename NativeP::Env env;
@@ -657,6 +678,7 @@ TEST(ShardedNativeStress, QueueBalancedAccounting) {
           }
         }
       }
+      queue.detach(tid);
     });
   }
   for (auto& t : threads) t.join();
@@ -669,6 +691,14 @@ TEST(ShardedNativeStress, QueueBalancedAccounting) {
   }
   EXPECT_EQ(enq_sum.load(), deq_sum.load());
   EXPECT_EQ(enq_count.load(), deq_count.load());
+}
+
+TEST(ShardedNativeStress, QueueBalancedAccounting) {
+  sharded_queue_balanced_accounting<reclaim::TaggedReclaimer<NativeP>>();
+}
+TEST(ShardedNativeStress, QueueCachedHazardDetachBalancedAccounting) {
+  sharded_queue_balanced_accounting<
+      reclaim::CachedHazardPointerReclaimer<NativeP>>();
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // The reclamation axis — hazard/epoch/leaky policies and their sweeps — is
 // covered by tests/test_reclaim.cpp.
 //
+// The CAS-failure telemetry hook (structures/contention.h) is pinned by
+// forced-collision schedules: the probe counts exactly the failed CASes.
+//
 // The centerpiece is the deterministic ABA reproduction: one fixed schedule
 // corrupts the raw-CAS stack, while the *same* schedule leaves the tagged
 // and LL/SC stacks correct — the paper's motivation made into a regression
@@ -20,6 +23,7 @@
 #include "sim/sim_platform.h"
 #include "spec/lin_checker.h"
 #include "spec/specs.h"
+#include "structures/contention.h"
 #include "structures/ms_queue.h"
 #include "structures/treiber_stack.h"
 #include "util/rng.h"
@@ -167,6 +171,76 @@ TEST(MsQueueSequential, LongRunReusesNodes) {
     }
   });
   world.run_to_completion(0);
+}
+
+// ------------------------------------------------ CAS-failure telemetry
+
+// Failed CAS steps in the world's trace, on any object.
+std::uint64_t failed_cas_steps(const sim::SimWorld& world) {
+  std::uint64_t failed = 0;
+  for (const auto& step : world.trace_copy()) {
+    if (step.kind == sim::OpKind::kCas && !step.cas_success) ++failed;
+  }
+  return failed;
+}
+
+// Forces one CAS failure: p1 runs `op1` until it is poised on its first
+// CAS, p0 runs `op0` to completion (moving the word p1 read), then p1
+// resumes — its CAS fails, and its retry succeeds.
+template <class Op0, class Op1>
+void collide_on_cas(sim::SimWorld& world, Op0 op0, Op1 op1) {
+  world.invoke(1, op1);
+  while (world.poised(1).has_value() &&
+         world.poised(1)->kind != sim::OpKind::kCas) {
+    world.step(1);
+  }
+  ASSERT_TRUE(world.poised(1).has_value()) << "op1 completed without a CAS";
+  world.invoke(0, op0);
+  world.run_to_completion(0);
+  world.run_to_completion(1);
+}
+
+TEST(ContentionProbe, CountsExactlyTheFailedCasesOnATreiberStack) {
+  sim::SimWorld world(2);
+  TaggedStack s(world, 2, 4);
+  ContentionProbe probe;
+  s.stack.set_contention_probe(&probe);
+  world.invoke(0, [&] { ABA_CHECK(s.push(0, 1)); });
+  world.run_to_completion(0);
+  EXPECT_EQ(probe.failures(), 0u) << "a solo push never touches the probe";
+
+  collide_on_cas(
+      world, [&] { ABA_CHECK(s.push(0, 2)); }, [&] { ABA_CHECK(s.push(1, 3)); });
+  EXPECT_EQ(probe.failures(), 1u);
+  std::optional<std::uint64_t> r0, r1;
+  collide_on_cas(world, [&] { r0 = s.pop(0); }, [&] { r1 = s.pop(1); });
+  EXPECT_EQ(probe.failures(), 2u);
+  EXPECT_EQ(probe.failures(), failed_cas_steps(world));
+  EXPECT_EQ(r0, std::optional<std::uint64_t>(3));
+  EXPECT_EQ(r1, std::optional<std::uint64_t>(2));
+}
+
+TEST(ContentionProbe, CountsExactlyTheFailedCasesOnAnMsQueue) {
+  sim::SimWorld world(2);
+  SimQueue q(world, 2, 4);
+  ContentionProbe probe;
+  q.queue.set_contention_probe(&probe);
+  world.invoke(0, [&] { ABA_CHECK(q.enqueue(0, 1)); });
+  world.run_to_completion(0);
+  EXPECT_EQ(probe.failures(), 0u) << "a solo enqueue never touches the probe";
+
+  // p1 is poised on its link CAS when p0 links first.
+  collide_on_cas(
+      world, [&] { ABA_CHECK(q.enqueue(0, 2)); },
+      [&] { ABA_CHECK(q.enqueue(1, 3)); });
+  EXPECT_EQ(probe.failures(), 1u);
+  // p1 is poised on its head CAS when p0 dequeues first.
+  std::optional<std::uint64_t> r0, r1;
+  collide_on_cas(world, [&] { r0 = q.dequeue(0); }, [&] { r1 = q.dequeue(1); });
+  EXPECT_EQ(probe.failures(), 2u);
+  EXPECT_EQ(probe.failures(), failed_cas_steps(world));
+  EXPECT_EQ(r0, std::optional<std::uint64_t>(1));
+  EXPECT_EQ(r1, std::optional<std::uint64_t>(2));
 }
 
 // --------------------------------------------- the deterministic ABA
