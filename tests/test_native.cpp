@@ -224,6 +224,26 @@ TEST(ContainedWriteOracle, WholeWriteBetweenDReadsOwesAFlag) {
   EXPECT_FALSE(reported.missed(1, /*flag=*/true, 1));
 }
 
+TEST(ContainedWriteOracle, ReportedWriteIsNotOwedAgain) {
+  // A whole DWrite runs before DRead #1, which flags it; no write starts
+  // afterwards, so DRead #2 owes nothing and a quiet register passes.
+  ContainedWriteOracle oracle(0);
+  EXPECT_FALSE(oracle.missed(1, /*flag=*/true, 1));
+  EXPECT_FALSE(oracle.missed(1, /*flag=*/false, 1));
+  // The window slides: a second whole DWrite owes DRead #3 its own flag.
+  EXPECT_TRUE(oracle.missed(2, /*flag=*/false, 2));
+}
+
+TEST(ContainedWriteOracle, WriteStartedBeforeTheReaderOwesNothing) {
+  // The writer had started DWrite #1 before the reader took its first
+  // sample (started=1) and completes it before DRead #1 (completed=1): the
+  // write was not contained in the reader's window, so no flag is owed.
+  ContainedWriteOracle oracle(/*started_now=*/1);
+  EXPECT_FALSE(oracle.missed(1, /*flag=*/false, 1));
+  // A write started after the first sample is owed as usual.
+  EXPECT_TRUE(oracle.missed(2, /*flag=*/false, 2));
+}
+
 struct ContainedWriteCounts {
   std::uint64_t violations = 0;
   std::uint64_t flagged_reads = 0;

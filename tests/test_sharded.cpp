@@ -9,8 +9,13 @@
 //
 //   * routing units: the home-shard hash is balanced over dense pids and
 //     the probe order visits every shard exactly once;
-//   * sequential semantics: per-shard LIFO/FIFO, elastic push fall-through
-//     under pool pressure, steal on empty home shard;
+//   * sequential semantics: per-shard LIFO/FIFO, elastic push/enqueue
+//     fall-through under pool pressure, steal on empty home shard, one
+//     shard degenerating to one global LIFO;
+//   * the router's composite introspection: pool size, reclaimer stats and
+//     unreclaimed garbage sum over shards, a parked guard on any shard is
+//     the process's phase, detach releases cached guards on every shard,
+//     and the routing tags are part of the fingerprint;
 //   * the deterministic steal race: a stealer and the home-shard popper
 //     compete for the same last element under a step-controlled sim
 //     schedule — exactly one wins, in both resolution orders, and the
@@ -22,8 +27,8 @@
 //   * Fast ≡ Counted determinism on a token-serialized native workload for
 //     both sharded structures (the platform policy changes layout and
 //     instrumentation, never results);
-//   * native balanced-accounting stress, including a cached-guard queue
-//     that detaches (the suite CI's TSan job runs).
+//   * native balanced-accounting stress, including cached-guard and
+//     deferred-epoch queues that detach (the suite CI's TSan job runs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -240,6 +245,173 @@ TEST(ShardedQueueSequential, PerShardFifoAndSteal) {
   EXPECT_EQ(q.last_shard(1), 0);
 }
 
+TEST(ShardedStackSequential, OneShardIsOneGlobalLifo) {
+  sim::SimWorld world(2);
+  SweepShardedStack<TaggedHead, reclaim::TaggedReclaimer<SimP>, 1> s(world, 2, 4);
+  std::optional<std::uint64_t> r0, r1;
+  world.invoke(0, [&] { s.push(0, 10); });
+  world.run_to_completion(0);
+  world.invoke(1, [&] { s.push(1, 20); });
+  world.run_to_completion(1);
+  // Both processes are homed on the only shard, so the composite keeps the
+  // global order: p0 pops p1's later push.
+  world.invoke(0, [&] { r0 = s.pop(0); });
+  world.run_to_completion(0);
+  world.invoke(1, [&] { r1 = s.pop(1); });
+  world.run_to_completion(1);
+  EXPECT_EQ(r0, std::optional<std::uint64_t>(20));
+  EXPECT_EQ(r1, std::optional<std::uint64_t>(10));
+  EXPECT_EQ(s.last_shard(0), 0);
+  EXPECT_EQ(s.last_shard(1), 0);
+}
+
+TEST(ShardedQueueSequential, EnqueueFallsThroughOnPoolPressure) {
+  sim::SimWorld world(1);
+  // One node per process per shard: the second enqueue must fall through
+  // to shard 1, the third must report pool exhaustion, charged home.
+  ShardedMsQueue<SimP, reclaim::TaggedReclaimer<SimP>, 2> q(world, 1, 1);
+  bool ok1 = false, ok2 = false, ok3 = true;
+  int shard1 = -1, shard2 = -1, shard3 = -1;
+  std::optional<std::uint64_t> r1, r2, r3;
+  world.invoke(0, [&] {
+    ok1 = q.enqueue(0, 10);
+    shard1 = q.last_shard(0);
+    ok2 = q.enqueue(0, 20);
+    shard2 = q.last_shard(0);
+    ok3 = q.enqueue(0, 30);
+    shard3 = q.last_shard(0);
+    r1 = q.dequeue(0);  // home shard 0
+    r2 = q.dequeue(0);  // shard 0 empty -> steals 20 from shard 1
+    r3 = q.dequeue(0);
+  });
+  world.run_to_completion(0);
+  EXPECT_TRUE(ok1);
+  EXPECT_TRUE(ok2);
+  EXPECT_FALSE(ok3);
+  EXPECT_EQ(shard1, 0);
+  EXPECT_EQ(shard2, 1);
+  EXPECT_EQ(shard3, 0) << "a failed enqueue is charged to the home shard";
+  EXPECT_EQ(r1, std::optional<std::uint64_t>(10));
+  EXPECT_EQ(r2, std::optional<std::uint64_t>(20));
+  EXPECT_EQ(r3, std::nullopt);
+  EXPECT_EQ(q.last_shard(0), 0) << "an empty dequeue is charged home";
+}
+
+// ---------------------------------------------- composite introspection
+
+TEST(ShardedIntrospection, PoolSizeAndStatsSumOverShards) {
+  sim::SimWorld world(2);
+  SweepShardedStack<TaggedHead, reclaim::TaggedReclaimer<SimP>, 4> s(world, 2, 3);
+  // 4 shards x 2 processes x 3 nodes.
+  EXPECT_EQ(s.pool_size(), 24u);
+  EXPECT_EQ(s.reclaim_stats().pool_size, 24u);
+  EXPECT_EQ(s.reclaim_stats().free_nodes, 24u);
+  world.invoke(0, [&] {
+    s.push(0, 1);
+    s.push(0, 2);
+  });
+  world.run_to_completion(0);
+  EXPECT_EQ(s.reclaim_stats().free_nodes, 22u);
+  EXPECT_EQ(s.shard(0).reclaimer().stats().free_nodes, 4u)
+      << "both pushes draw on pid 0's home shard";
+  EXPECT_EQ(s.shard(1).reclaimer().stats().free_nodes, 6u);
+}
+
+TEST(ShardedIntrospection, UnreclaimedSumsOverShards) {
+  sim::SimWorld world(1);
+  // Leaky: a popped node never returns, so each shard's one node per
+  // process is spent after a single push/pop.
+  SweepShardedStack<TaggedHead, reclaim::LeakyReclaimer<SimP>, 2> s(world, 1, 1);
+  std::optional<std::uint64_t> r1, r2;
+  bool ok3 = true;
+  world.invoke(0, [&] {
+    ABA_CHECK(s.push(0, 10));  // shard 0
+    r1 = s.pop(0);             // retired on shard 0
+    ABA_CHECK(s.push(0, 20));  // shard 0 drained: falls through to shard 1
+    r2 = s.pop(0);             // stolen from shard 1, retired there
+    ok3 = s.push(0, 30);       // both shards drained
+  });
+  world.run_to_completion(0);
+  EXPECT_EQ(r1, std::optional<std::uint64_t>(10));
+  EXPECT_EQ(r2, std::optional<std::uint64_t>(20));
+  EXPECT_FALSE(ok3);
+  EXPECT_EQ(s.last_shard(0), 0) << "a failed push is charged to the home shard";
+  EXPECT_EQ(s.shard(0).reclaimer().unreclaimed(0), 1u);
+  EXPECT_EQ(s.shard(1).reclaimer().unreclaimed(0), 1u);
+  EXPECT_EQ(s.unreclaimed(0), 2u);
+  EXPECT_EQ(s.reclaim_stats().retired_unreclaimed, 2u);
+  EXPECT_EQ(s.reclaim_stats().free_nodes, 0u);
+}
+
+TEST(ShardedIntrospection, DetachReleasesCachedGuardsOnEveryShard) {
+  using Stack = SweepShardedStack<TaggedHead,
+                                  reclaim::CachedHazardPointerReclaimer<SimP>, 2>;
+  sim::SimWorld world(2);
+  Stack s(world, 2, 4);
+  world.invoke(0, [&] { ABA_CHECK(s.push(0, 10)); });  // shard 0
+  world.run_to_completion(0);
+  world.invoke(1, [&] { ABA_CHECK(s.push(1, 20)); });  // shard 1
+  world.run_to_completion(1);
+  std::optional<std::uint64_t> r1, r2;
+  world.invoke(0, [&] {
+    r1 = s.pop(0);  // home shard 0
+    r2 = s.pop(0);  // shard 0 empty -> steals from shard 1
+  });
+  world.run_to_completion(0);
+  ASSERT_EQ(r1, std::optional<std::uint64_t>(10));
+  ASSERT_EQ(r2, std::optional<std::uint64_t>(20));
+  // Cached guards outlive end_op: p0 still publishes one on each shard it
+  // popped from.
+  EXPECT_GE(s.shard(0).reclaimer().stats().guard_slots_occupied, 1u);
+  EXPECT_GE(s.shard(1).reclaimer().stats().guard_slots_occupied, 1u);
+  world.invoke(0, [&] { s.detach(0); });
+  world.run_to_completion(0);
+  EXPECT_EQ(s.reclaim_stats().guard_slots_occupied, 0u);
+}
+
+TEST(ShardedIntrospection, ParkedGuardOnAStolenShardIsTheProcessPhase) {
+  using Stack =
+      SweepShardedStack<TaggedHead, reclaim::HazardPointerReclaimer<SimP>, 2>;
+  sim::SimWorld world(2);
+  Stack s(world, 2, 4);
+  world.invoke(0, [&] { ABA_CHECK(s.push(0, 42)); });  // shard 0
+  world.run_to_completion(0);
+
+  // p1 (homed on shard 1) finds its home empty and steals from shard 0;
+  // park it as soon as its guard on shard 0 is published.
+  std::optional<std::uint64_t> got;
+  world.invoke(1, [&] { got = s.pop(1); });
+  while (world.poised(1).has_value() &&
+         !reclaim::is_vulnerable(s.shard(0).reclaimer().phase(1))) {
+    world.step(1);
+  }
+  ASSERT_TRUE(world.poised(1).has_value()) << "the steal never guarded";
+  EXPECT_EQ(s.shard(0).reclaimer().phase(1),
+            reclaim::ReclaimPhase::kGuardPublished);
+  EXPECT_FALSE(reclaim::is_vulnerable(s.shard(1).reclaimer().phase(1)));
+  EXPECT_EQ(s.reclaim_phase(1), reclaim::ReclaimPhase::kGuardPublished)
+      << "the guard pins its node whichever shard it sits on";
+  EXPECT_EQ(s.reclaim_phase(0), reclaim::ReclaimPhase::kIdle);
+
+  world.run_to_completion(1);
+  EXPECT_EQ(got, std::optional<std::uint64_t>(42));
+  EXPECT_EQ(s.reclaim_phase(1), reclaim::ReclaimPhase::kIdle);
+}
+
+TEST(ShardedIntrospection, FingerprintCoversTheRoutingTags) {
+  using Stack = SweepShardedStack<TaggedHead, reclaim::TaggedReclaimer<SimP>, 2>;
+  sim::SimWorld world_a(2), world_b(2);
+  Stack a(world_a, 2, 4), b(world_b, 2, 4);
+  EXPECT_EQ(a.reclaim_fingerprint(), b.reclaim_fingerprint());
+  // An empty pop touches no reclaimer state; it only sets p0's routing tag,
+  // which steers p0's next probe order.
+  world_a.invoke(0, [&] { ABA_CHECK(!a.pop(0).has_value()); });
+  world_a.run_to_completion(0);
+  EXPECT_EQ(a.last_shard(0), 0);
+  EXPECT_EQ(a.reclaim_stats().free_nodes, b.reclaim_stats().free_nodes);
+  EXPECT_NE(a.reclaim_fingerprint(), b.reclaim_fingerprint());
+}
+
 // --------------------------------------------- per-shard history checking
 
 // Splits a history by the invoker's shard tags and checks each sub-history
@@ -445,6 +617,21 @@ TEST(ShardedSweep, RawHeadHazardReclaimer) {
                                   reclaim::HazardPointerReclaimer<SimP>>();
 }
 
+TEST(ShardedSweep, RawHeadCachedHazardReclaimer) {
+  sharded_stack_sweep_over_shards<SweepShardedStack, RawHead,
+                                  reclaim::CachedHazardPointerReclaimer<SimP>>();
+}
+// Deferred epochs: the announcement cached across operations covers every
+// shard's grace period at once.
+TEST(ShardedSweep, TaggedHeadDeferredEpochReclaimer) {
+  sharded_stack_sweep_over_shards<SweepShardedStack, TaggedHead,
+                                  reclaim::DeferredEpochReclaimer<SimP>>();
+}
+TEST(ShardedSweep, RawHeadDeferredEpochReclaimer) {
+  sharded_stack_sweep_over_shards<SweepShardedStack, RawHead,
+                                  reclaim::DeferredEpochReclaimer<SimP>>();
+}
+
 // LL/SC heads: one Figure-3 object per shard.
 template <class R, int kShards>
 struct LlscSweepAdapter : ShardedLlscStack<R, kShards> {
@@ -487,6 +674,13 @@ TEST(ShardedSweep, QueueTaggedReclaimer) {
   sharded_queue_sweep<reclaim::TaggedReclaimer<SimP>, 1>();
   sharded_queue_sweep<reclaim::TaggedReclaimer<SimP>, 2>();
   sharded_queue_sweep<reclaim::TaggedReclaimer<SimP>, 4>();
+}
+// Leaky pools drain, so late enqueues fall through and then fail: a
+// refused enqueue is charged home and must still linearize there.
+TEST(ShardedSweep, QueueLeakyReclaimer) {
+  sharded_queue_sweep<reclaim::LeakyReclaimer<SimP>, 1>();
+  sharded_queue_sweep<reclaim::LeakyReclaimer<SimP>, 2>();
+  sharded_queue_sweep<reclaim::LeakyReclaimer<SimP>, 4>();
 }
 TEST(ShardedSweep, QueueHazardReclaimer) {
   sharded_queue_sweep<reclaim::HazardPointerReclaimer<SimP>, 1>();
@@ -699,6 +893,10 @@ TEST(ShardedNativeStress, QueueBalancedAccounting) {
 TEST(ShardedNativeStress, QueueCachedHazardDetachBalancedAccounting) {
   sharded_queue_balanced_accounting<
       reclaim::CachedHazardPointerReclaimer<NativeP>>();
+}
+// The queue_sharded benchmark's shape: four shards under deferred epochs.
+TEST(ShardedNativeStress, QueueDeferredEpochDetachBalancedAccounting) {
+  sharded_queue_balanced_accounting<reclaim::DeferredEpochReclaimer<NativeP>>();
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // covered by tests/test_reclaim.cpp.
 //
 // The CAS-failure telemetry hook (structures/contention.h) is pinned by
-// forced-collision schedules: the probe counts exactly the failed CASes.
+// forced-collision schedules: the probe counts exactly the failed CASes,
+// stops when detached, and (one probe per shard) charges only the shard
+// whose head was contended.
 //
 // The centerpiece is the deterministic ABA reproduction: one fixed schedule
 // corrupts the raw-CAS stack, while the *same* schedule leaves the tagged
@@ -13,6 +15,7 @@
 // test.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <thread>
 
@@ -25,6 +28,7 @@
 #include "spec/specs.h"
 #include "structures/contention.h"
 #include "structures/ms_queue.h"
+#include "structures/sharded.h"
 #include "structures/treiber_stack.h"
 #include "util/rng.h"
 
@@ -184,20 +188,21 @@ std::uint64_t failed_cas_steps(const sim::SimWorld& world) {
   return failed;
 }
 
-// Forces one CAS failure: p1 runs `op1` until it is poised on its first
-// CAS, p0 runs `op0` to completion (moving the word p1 read), then p1
-// resumes — its CAS fails, and its retry succeeds.
+// Forces one CAS failure: `loser` runs `op1` until it is poised on its
+// first CAS, `winner` runs `op0` to completion (moving the word the loser
+// read), then the loser resumes — its CAS fails, and its retry succeeds.
 template <class Op0, class Op1>
-void collide_on_cas(sim::SimWorld& world, Op0 op0, Op1 op1) {
-  world.invoke(1, op1);
-  while (world.poised(1).has_value() &&
-         world.poised(1)->kind != sim::OpKind::kCas) {
-    world.step(1);
+void collide_on_cas(sim::SimWorld& world, Op0 op0, Op1 op1, int winner = 0,
+                    int loser = 1) {
+  world.invoke(loser, op1);
+  while (world.poised(loser).has_value() &&
+         world.poised(loser)->kind != sim::OpKind::kCas) {
+    world.step(loser);
   }
-  ASSERT_TRUE(world.poised(1).has_value()) << "op1 completed without a CAS";
-  world.invoke(0, op0);
-  world.run_to_completion(0);
-  world.run_to_completion(1);
+  ASSERT_TRUE(world.poised(loser).has_value()) << "op1 completed without a CAS";
+  world.invoke(winner, op0);
+  world.run_to_completion(winner);
+  world.run_to_completion(loser);
 }
 
 TEST(ContentionProbe, CountsExactlyTheFailedCasesOnATreiberStack) {
@@ -241,6 +246,44 @@ TEST(ContentionProbe, CountsExactlyTheFailedCasesOnAnMsQueue) {
   EXPECT_EQ(probe.failures(), failed_cas_steps(world));
   EXPECT_EQ(r0, std::optional<std::uint64_t>(1));
   EXPECT_EQ(r1, std::optional<std::uint64_t>(2));
+}
+
+TEST(ContentionProbe, DetachedProbeStopsCounting) {
+  sim::SimWorld world(2);
+  TaggedStack s(world, 2, 4);
+  ContentionProbe probe;
+  s.stack.set_contention_probe(&probe);
+  collide_on_cas(
+      world, [&] { ABA_CHECK(s.push(0, 1)); }, [&] { ABA_CHECK(s.push(1, 2)); });
+  EXPECT_EQ(probe.failures(), 1u);
+  s.stack.set_contention_probe(nullptr);
+  collide_on_cas(
+      world, [&] { ABA_CHECK(s.push(0, 3)); }, [&] { ABA_CHECK(s.push(1, 4)); });
+  EXPECT_EQ(failed_cas_steps(world), 2u);
+  EXPECT_EQ(probe.failures(), 1u) << "a detached probe must not count";
+}
+
+// One probe per shard, the way benches read the router's hottest head: a
+// collision on one shard is charged to that shard's probe alone.
+TEST(ContentionProbe, PerShardProbesChargeOnlyTheCollidingShard) {
+  using Stack = ShardedTreiberStack<SimP, TaggedCasHead<SimP>,
+                                    reclaim::TaggedReclaimer<SimP>, 2>;
+  sim::SimWorld world(3);
+  Stack s(world, 3, Stack::make_heads(world, 3), 4);
+  std::array<ContentionProbe, 2> probes;
+  for (int shard = 0; shard < 2; ++shard) {
+    s.shard(shard).set_contention_probe(&probes[static_cast<std::size_t>(shard)]);
+  }
+  // pids 0 and 2 share home shard 0; pid 1 is alone on shard 1.
+  collide_on_cas(
+      world, [&] { ABA_CHECK(s.push(0, 1)); }, [&] { ABA_CHECK(s.push(2, 2)); },
+      /*winner=*/0, /*loser=*/2);
+  world.invoke(1, [&] { ABA_CHECK(s.push(1, 3)); });
+  world.run_to_completion(1);
+  EXPECT_EQ(probes[0].failures(), 1u);
+  EXPECT_EQ(probes[1].failures(), 0u);
+  EXPECT_EQ(probes[0].failures() + probes[1].failures(),
+            failed_cas_steps(world));
 }
 
 // --------------------------------------------- the deterministic ABA
