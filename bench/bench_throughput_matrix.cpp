@@ -315,7 +315,7 @@ Cell run_aba_register(int n, double secs) {
 // gets a large (but bounded) budget and its cells end at drain. Either way
 // the total pool must fit the structures' 16-bit index fields, even at the
 // oversubscribed thread counts. The hazard-family floor covers the raised
-// asymmetric-platform scan batch (kHeavyScanFloor retires in flight) plus
+// asymmetric-platform scan batch (kHeavyFenceBatch retires in flight) plus
 // the guard-pinned headroom.
 template <class R>
 int pool_per_thread(int n) {

@@ -62,6 +62,20 @@ class DeathOracle {
   virtual bool is_dead(int pid) const = 0;
 };
 
+// Crash junctures: the protocol instants a reclaimer's Book parks a
+// process at (reclaim/book.h). The shm tier's lease table turns a park into
+// a spin-rendezvous for its fork/SIGKILL harness or, on the simulator, one
+// announced step where the model checker's crash grants land; the
+// in-process LocalBook ignores them.
+inline constexpr std::uint64_t kParkNone = 0;
+inline constexpr std::uint64_t kParkGuardPublished = 1;
+inline constexpr std::uint64_t kParkEpochAnnounced = 2;
+inline constexpr std::uint64_t kParkMidRetire = 3;
+// Between the structure's linking CAS and commit(p)'s in_flight clear: the
+// node is (possibly) reachable AND still marked — the window the quarantine
+// rule exists for.
+inline constexpr std::uint64_t kParkInFlight = 4;
+
 // Death state machine values (held in a per-process std::atomic<uint8_t>).
 inline constexpr std::uint8_t kDeathLive = 0;
 inline constexpr std::uint8_t kDeathSuspect = 1;

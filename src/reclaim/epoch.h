@@ -114,6 +114,7 @@
 #include <vector>
 
 #include "core/platform.h"
+#include "reclaim/book.h"
 #include "reclaim/death.h"
 #include "reclaim/reclaimer.h"
 #include "structures/ring_buffer.h"
@@ -138,19 +139,17 @@ class EpochBasedReclaimer {
   static constexpr bool kNeedsGuard = false;
   // Retires between advance attempts: amortizes the O(n) announcement scan.
   static constexpr std::size_t kAdvanceEvery = 4;
-  // On platforms with a real heavy fence the deferred batch is raised so
-  // the per-op share of the advance-side membarrier stays in the noise —
-  // the same cadence as the hazard kHeavyScanFloor (256), since both sides
-  // pay one membarrier per flush and the E9 batch axis shows throughput
-  // still climbing past 64. Elsewhere it matches kAdvanceEvery, so the
-  // deferred advance cadence equals the eager one and sim searches cross
-  // the batch boundary constantly. kBatchOverride pins it for the E9
-  // retire-batch-size axis.
-  static constexpr bool kHeavyAdvance =
-      !std::is_same_v<PlatformFenceT<P>, util::NoFence>;
+  // On platforms with a real heavy fence the deferred batch is raised to
+  // kHeavyFenceBatch (reclaimer.h), the hazard scan's floor too, so the
+  // per-op share of the advance-side membarrier stays in the noise.
+  // Elsewhere it matches kAdvanceEvery, so the deferred advance cadence
+  // equals the eager one and sim searches cross the batch boundary
+  // constantly. kBatchOverride pins it for the E9 retire-batch-size axis.
+  using Fence = typename LocalBook<P>::Fence;
+  static constexpr bool kHeavyAdvance = !std::is_same_v<Fence, util::NoFence>;
   static constexpr std::size_t kRetireBatch =
       kBatchOverride != 0 ? kBatchOverride
-                          : (kHeavyAdvance ? 256 : kAdvanceEvery);
+                          : (kHeavyAdvance ? kHeavyFenceBatch : kAdvanceEvery);
   // Starved allocates between heavy advance re-attempts while the epoch is
   // frozen (the allocate() pressure-path throttle; heavy platforms only).
   static constexpr std::uint64_t kCoastStride = 64;
@@ -164,12 +163,7 @@ class EpochBasedReclaimer {
   EpochBasedReclaimer(typename P::Env& env, int n, FreeLists initial_free)
       : n_(n),
         global_(env, "epoch.global", 0, sim::BoundSpec::unbounded()),
-        procs_(static_cast<std::size_t>(n)) {
-    ABA_CHECK(static_cast<int>(initial_free.size()) == n);
-    for (int p = 0; p < n; ++p) {
-      procs_[p].free = std::move(initial_free[p]);
-      pool_size_ += procs_[p].free.size();
-    }
+        book_(env, n, std::move(initial_free), /*slots_per_process=*/0) {
     announce_.reserve(static_cast<std::size_t>(n));
     for (int p = 0; p < n; ++p) {
       announce_.push_back(std::make_unique<typename P::Register>(
@@ -180,7 +174,9 @@ class EpochBasedReclaimer {
   // Installs the liveness oracle that arms the expropriation paths (see
   // the header comment). Not a transfer of ownership; call before any
   // process operates.
-  void set_death_oracle(const DeathOracle* oracle) { death_oracle_ = oracle; }
+  void set_death_oracle(const DeathOracle* oracle) {
+    book_.set_death_oracle(oracle);
+  }
 
   // Announce-then-validate: after writing the announcement we re-read the
   // global epoch and retry until it matches. Without the validation a
@@ -197,21 +193,22 @@ class EpochBasedReclaimer {
   // publish still carries the invariant, because its visibility guarantee
   // is permanent once established (see the header comment).
   void begin_op(int p) {
-    death_self_check(procs_[p].death);
+    book_.enter(p);
+    auto& mine = book_.ext(p);
     if constexpr (kDeferred) {
       std::uint64_t e = global_.read();
-      if (procs_[p].announce_mirror == e) {  // Hit: zero shared stores.
-        procs_[p].phase = ReclaimPhase::kEpochAnnounced;
+      if (mine.announce_mirror == e) {  // Hit: zero shared stores.
+        book_.set_phase(p, ReclaimPhase::kEpochAnnounced);
         return;
       }
       for (;;) {
         announce_[p]->write(e);
-        PlatformFenceT<P>::light();
+        Fence::light();
         // The announcement is visible from here on (on asymmetric
         // platforms: from the next heavy advance on): a process parked at
         // the validation read below already pins the epoch.
-        procs_[p].announce_mirror = e;
-        procs_[p].phase = ReclaimPhase::kEpochAnnounced;
+        mine.announce_mirror = e;
+        book_.set_phase(p, ReclaimPhase::kEpochAnnounced);
         const std::uint64_t now = global_.read();
         if (now == e) return;
         e = now;
@@ -223,8 +220,8 @@ class EpochBasedReclaimer {
         // The announcement is visible from here on: a process parked at the
         // validation read below already pins the epoch, which is exactly the
         // worst step the schedule-search engine aims for.
-        procs_[p].announce_mirror = e;
-        procs_[p].phase = ReclaimPhase::kEpochAnnounced;
+        mine.announce_mirror = e;
+        book_.set_phase(p, ReclaimPhase::kEpochAnnounced);
         if (global_.read() == e) return;
       }
     }
@@ -237,9 +234,9 @@ class EpochBasedReclaimer {
   void end_op(int p) {
     if constexpr (!kDeferred) {
       announce_[p]->write(kQuiescent);
-      procs_[p].announce_mirror = kQuiescent;
+      book_.ext(p).announce_mirror = kQuiescent;
     }
-    procs_[p].phase = ReclaimPhase::kIdle;
+    book_.set_phase(p, ReclaimPhase::kIdle);
   }
 
   // The explicit release: announce quiescence and drop the cache. Call when
@@ -248,16 +245,15 @@ class EpochBasedReclaimer {
   // quiescent (eager mode outside a region), so structures may forward it
   // unconditionally.
   void detach(int p) {
-    if (procs_[p].announce_mirror != kQuiescent) {
+    if (book_.ext(p).announce_mirror != kQuiescent) {
       announce_[p]->write(kQuiescent);
-      procs_[p].announce_mirror = kQuiescent;
+      book_.ext(p).announce_mirror = kQuiescent;
     }
   }
 
   std::optional<std::uint64_t> allocate(int p) {
-    death_self_check(procs_[p].death);
-    auto& free = procs_[p].free;
-    if (free.empty()) {
+    book_.enter(p);
+    if (book_.free_empty(p)) {
       // Pool pressure: a fresh retiree needs two advances to mature, so try
       // up to two advance+flush rounds before reporting exhaustion. The
       // deferred batch buffer flushes first — its nodes are invisible to
@@ -279,41 +275,35 @@ class EpochBasedReclaimer {
       // thread-private, and the stride bounds how long a recovered system
       // waits for its next real advance attempt.
       if constexpr (kDeferred && kHeavyAdvance) {
-        auto& proc = procs_[p];
+        auto& proc = book_.ext(p);
         const std::uint64_t g = global_.read();
         global_mirror_.store(g, std::memory_order_relaxed);
         if (proc.coast_epoch == g + 1 &&
             ++proc.coast_tries % kCoastStride != 0) {
           flush(p, g);
-          if (!free.empty()) proc.coast_epoch = 0;
+          if (!book_.free_empty(p)) proc.coast_epoch = 0;
         } else {
           flush_pending(p);
           std::uint64_t e = g;
-          for (int round = 0; round < 2 && free.empty(); ++round) {
+          for (int round = 0; round < 2 && book_.free_empty(p); ++round) {
             e = try_advance(p);
             flush(p, e);
           }
-          proc.coast_epoch = (free.empty() && e == g) ? g + 1 : 0;
+          proc.coast_epoch = (book_.free_empty(p) && e == g) ? g + 1 : 0;
           proc.coast_tries = 0;
         }
       } else {
         if constexpr (kDeferred) flush_pending(p);
-        for (int round = 0; round < 2 && free.empty(); ++round) {
+        for (int round = 0; round < 2 && book_.free_empty(p); ++round) {
           flush(p, try_advance(p));
         }
       }
     }
-    if (free.empty()) return std::nullopt;
-    const std::uint64_t idx = free.front();
-    free.pop_front();
-    // In-flight marker: if p dies before its linking CAS commits, an
-    // expropriator quarantines this node instead of freeing it.
-    procs_[p].in_flight = idx + 1;
-    return idx;
+    return book_.take_free(p);
   }
 
   // The structure's linking CAS for p's in-flight node just succeeded.
-  void commit(int p) { procs_[p].in_flight = 0; }
+  void commit(int p) { book_.commit(p); }
 
   // Eager: stamps the node with the global epoch read *now* (one shared
   // read per retire), not with the retiring region's announced epoch: a
@@ -328,27 +318,28 @@ class EpochBasedReclaimer {
   // g' ≥ each retire-time g, so the grace period only lengthens — strictly
   // conservative) plus one amortized advance.
   void retire(int p, std::uint64_t idx) {
-    death_self_check(procs_[p].death);
-    const ReclaimPhase resume = procs_[p].phase;
-    procs_[p].phase = ReclaimPhase::kMidRetire;
+    book_.enter(p);
+    const ReclaimPhase resume = book_.phase(p);
+    book_.set_phase(p, ReclaimPhase::kMidRetire);
+    auto& mine = book_.ext(p);
     if constexpr (kDeferred) {
-      procs_[p].pending.enqueue(idx);
-      if (procs_[p].pending.full()) flush_pending(p);
+      mine.pending.enqueue(idx);
+      if (mine.pending.full()) flush_pending(p);
     } else {
       // In-retire marker: the global read below is a shared step p can die
       // at, with idx unlinked but not yet on any list. An expropriator that
       // finds the marker set re-records the node itself.
-      procs_[p].in_retire = idx + 1;
+      book_.mark_retiring(p, idx);
       const std::uint64_t g = global_.read();
       global_mirror_.store(g, std::memory_order_relaxed);
-      procs_[p].limbo.push_back(Limbo{idx, g});
-      procs_[p].in_retire = 0;
-      if (++procs_[p].retires_since_advance >= kAdvanceEvery) {
-        procs_[p].retires_since_advance = 0;
+      mine.limbo.push_back(Limbo{idx, g});
+      book_.clear_retiring(p);
+      if (++mine.retires_since_advance >= kAdvanceEvery) {
+        mine.retires_since_advance = 0;
         flush(p, try_advance(p));
       }
     }
-    procs_[p].phase = resume;
+    book_.set_phase(p, resume);
   }
 
   // Batch hand-off (the Reclaimer concept's batched verb): all n indices
@@ -356,28 +347,29 @@ class EpochBasedReclaimer {
   // deferred mode the batch routes through the pending ring (flushing
   // whenever it fills), so crash accounting is identical to retire()'s.
   void retire_batch(int p, const std::uint64_t* idxs, std::size_t count) {
-    death_self_check(procs_[p].death);
+    book_.enter(p);
     if (count == 0) return;
-    const ReclaimPhase resume = procs_[p].phase;
-    procs_[p].phase = ReclaimPhase::kMidRetire;
+    const ReclaimPhase resume = book_.phase(p);
+    book_.set_phase(p, ReclaimPhase::kMidRetire);
+    auto& mine = book_.ext(p);
     if constexpr (kDeferred) {
       for (std::size_t i = 0; i < count; ++i) {
-        procs_[p].pending.enqueue(idxs[i]);
-        if (procs_[p].pending.full()) flush_pending(p);
+        mine.pending.enqueue(idxs[i]);
+        if (mine.pending.full()) flush_pending(p);
       }
     } else {
       const std::uint64_t g = global_.read();
       global_mirror_.store(g, std::memory_order_relaxed);
       for (std::size_t i = 0; i < count; ++i) {
-        procs_[p].limbo.push_back(Limbo{idxs[i], g});
+        mine.limbo.push_back(Limbo{idxs[i], g});
       }
-      procs_[p].retires_since_advance += count;
-      if (procs_[p].retires_since_advance >= kAdvanceEvery) {
-        procs_[p].retires_since_advance = 0;
+      mine.retires_since_advance += count;
+      if (mine.retires_since_advance >= kAdvanceEvery) {
+        mine.retires_since_advance = 0;
         flush(p, try_advance(p));
       }
     }
-    procs_[p].phase = resume;
+    book_.set_phase(p, resume);
   }
 
   // Drains p's pending ring into limbo under one stamp read, then runs the
@@ -386,12 +378,12 @@ class EpochBasedReclaimer {
   // batch either entirely in the ring (swept by expropriate()) or entirely
   // in limbo (spliced as usual) — no half-recorded gap.
   void flush_pending(int p) {
-    auto& pending = procs_[p].pending;
-    if (pending.empty()) return;
+    auto& mine = book_.ext(p);
+    if (mine.pending.empty()) return;
     const std::uint64_t g = global_.read();
     global_mirror_.store(g, std::memory_order_relaxed);
-    while (!pending.empty()) {
-      procs_[p].limbo.push_back(Limbo{pending.dequeue(), g});
+    while (!mine.pending.empty()) {
+      mine.limbo.push_back(Limbo{mine.pending.dequeue(), g});
     }
     flush(p, try_advance(p));
   }
@@ -409,7 +401,7 @@ class EpochBasedReclaimer {
   // shaped heavy side (membarrier on FastAsymmetric; free elsewhere) that
   // makes every pending light announce visible before the scan below.
   std::uint64_t try_advance(int p = -1) {
-    if constexpr (kDeferred) PlatformFenceT<P>::heavy();
+    if constexpr (kDeferred) Fence::heavy();
     const std::uint64_t e = global_.read();
     global_mirror_.store(e, std::memory_order_relaxed);
     if constexpr (kDeferred) {
@@ -419,11 +411,11 @@ class EpochBasedReclaimer {
       // are post-end_op by the structure contract), so re-announcing the
       // current epoch is safe — p holds no snapshots the old value
       // protected.
-      if (p >= 0 && procs_[p].announce_mirror != kQuiescent &&
-          procs_[p].announce_mirror != e) {
+      if (p >= 0 && book_.ext(p).announce_mirror != kQuiescent &&
+          book_.ext(p).announce_mirror != e) {
         announce_[p]->write(e);
-        PlatformFenceT<P>::light();
-        procs_[p].announce_mirror = e;
+        Fence::light();
+        book_.ext(p).announce_mirror = e;
       }
     }
     // Dead-lease sweep first — every dead-looking process, not just the
@@ -432,7 +424,7 @@ class EpochBasedReclaimer {
     // announcement but an orphaned in-retire node plus limbo and free
     // lists. Sweeping unconditionally drains those too; a confirmed death's
     // now-quiescent announcement then no longer vetoes the advance below.
-    expropriate_dead(p, e);
+    book_.sweep_dead(p, [&](int q) { expropriate(p, q, e); });
     for (int q = 0; q < n_; ++q) {
       const std::uint64_t a = announce_[q]->read();
       if (a == kQuiescent || a == e) continue;
@@ -449,49 +441,37 @@ class EpochBasedReclaimer {
 
   // Moves p's matured limbo nodes (stamped ≤ epoch − 2) to the free list.
   void flush(int p, std::uint64_t epoch) {
-    auto& limbo = procs_[p].limbo;
+    auto& limbo = book_.ext(p).limbo;
     while (!limbo.empty() && limbo.front().epoch + 2 <= epoch) {
-      procs_[p].free.push_back(limbo.front().index);
+      book_.release(p, limbo.front().index);
       limbo.pop_front();
     }
   }
 
-  // Two-phase dead-lease sweep (reclaim/death.h), run at every advance
-  // attempt: suspect on one visit, confirm — re-consulting the oracle — on
-  // a later one. With no oracle (or no deaths) this performs no shared
-  // steps, keeping the committed schedule corpus bit-identical.
-  void expropriate_dead(int p, std::uint64_t e) {
-    if (death_oracle_ == nullptr || p < 0) return;
-    for (int q = 0; q < n_; ++q) {
-      if (q == p || !death_oracle_->is_dead(q)) continue;
-      if (advance_death(procs_[q].death) == DeathStep::kConfirmed) {
-        expropriate(p, q, e);
-      }
-    }
-  }
-
-  // p won the confirm CAS on q's death word during an advance that read
-  // global epoch e: drain q. One shared write (the quiescent announcement);
-  // the list splices are q's orphaned, now exclusively-owned bookkeeping.
+  // p won the confirm CAS on q's death word (LocalBook::sweep_dead, run at
+  // every advance attempt) during an advance that read global epoch e:
+  // drain q's epoch state; the book then splices q's free list and
+  // quarantines its in-flight node. One shared write (the quiescent
+  // announcement); the rest is q's orphaned, now exclusively-owned
+  // bookkeeping.
   void expropriate(int p, int q, std::uint64_t e) {
-    auto& victim = procs_[q];
-    auto& mine = procs_[p];
+    auto& victim = book_.ext(q);
+    auto& mine = book_.ext(p);
     announce_[q]->write(kQuiescent);
     victim.announce_mirror = kQuiescent;
-    if (victim.in_retire != 0) {
+    if (const auto idx = book_.retiring(q)) {
       // q died inside retire, after unlinking but possibly before the limbo
       // push. Re-record conservatively with the current epoch (a full fresh
       // grace period) unless the push did land.
-      const std::uint64_t idx = victim.in_retire - 1;
       bool listed = false;
       for (const auto& l : victim.limbo) {
-        if (l.index == idx) {
+        if (l.index == *idx) {
           listed = true;
           break;
         }
       }
-      if (!listed) victim.limbo.push_back(Limbo{idx, e});
-      victim.in_retire = 0;
+      if (!listed) victim.limbo.push_back(Limbo{*idx, e});
+      book_.clear_retiring(q);
     }
     // A batch parked in the dead process's pending ring: every entry is
     // unlinked but unstamped. Re-stamp with the current epoch (a full fresh
@@ -509,26 +489,15 @@ class EpochBasedReclaimer {
                [](const Limbo& a, const Limbo& b) { return a.epoch < b.epoch; });
     mine.limbo = std::move(merged);
     victim.limbo.clear();
-    while (!victim.free.empty()) {
-      mine.free.push_back(victim.free.front());
-      victim.free.pop_front();
-    }
-    if (victim.in_flight != 0) {
-      // Possibly linked by a CAS whose bookkeeping store never ran —
-      // quarantine, never free.
-      mine.quarantine.push_back(victim.in_flight - 1);
-      victim.in_flight = 0;
-    }
-    ++mine.expropriations;
   }
 
   std::uint64_t global_epoch() { return global_.read(); }
-  std::size_t pool_size() const { return pool_size_; }
+  std::size_t pool_size() const { return book_.pool_size(); }
   std::size_t unreclaimed(int p) const {
-    return procs_[p].limbo.size() + procs_[p].pending.size();
+    return book_.ext(p).limbo.size() + book_.ext(p).pending.size();
   }
-  std::size_t free_count(int p) const { return procs_[p].free.size(); }
-  std::size_t pending_count(int p) const { return procs_[p].pending.size(); }
+  std::size_t free_count(int p) const { return book_.free_count(p); }
+  std::size_t pending_count(int p) const { return book_.ext(p).pending.size(); }
 
   // Engine-side observability (reclaimer.h). The epoch lag — how far the
   // freshest-known global epoch has left the oldest *active* announcement
@@ -543,28 +512,25 @@ class EpochBasedReclaimer {
   // process's parked announcement counts toward the lag — honest, because
   // it pins the epoch exactly like an active region until detach.
   ReclaimStats stats() const {
-    ReclaimStats s;
-    s.pool_size = pool_size_;
+    ReclaimStats s = book_.stats();
     const std::uint64_t global = global_mirror_.load(std::memory_order_relaxed);
-    for (const auto& proc : procs_) {
+    for (int q = 0; q < n_; ++q) {
+      const auto& proc = book_.ext(q);
       s.retired_unreclaimed += proc.limbo.size() + proc.pending.size();
-      s.free_nodes += proc.free.size();
       if (proc.announce_mirror != kQuiescent &&
           global > proc.announce_mirror) {
         const std::uint64_t lag = global - proc.announce_mirror;
         if (lag > s.epoch_lag) s.epoch_lag = lag;
       }
-      // proc.in_retire is deliberately NOT folded into retired_unreclaimed:
-      // the committed schedule corpus's golden peaks sample stats while a
-      // process is parked inside retire, where the marker is transiently
-      // set. Conservation tests account for it explicitly.
-      s.quarantined += proc.quarantine.size();
-      if (proc.in_flight != 0) ++s.in_flight;
-      s.expropriations += proc.expropriations;
+      // The in-retire marker is deliberately NOT folded into
+      // retired_unreclaimed: the committed schedule corpus's golden peaks
+      // sample stats while a process is parked inside retire, where the
+      // marker is transiently set. Conservation tests account for it
+      // explicitly.
     }
     return s;
   }
-  ReclaimPhase phase(int p) const { return procs_[p].phase; }
+  ReclaimPhase phase(int p) const { return book_.phase(p); }
 
   // The thread-private state the signature key misses: limbo stamps,
   // free-list order and pending-batch contents decide what future flushes
@@ -573,8 +539,9 @@ class EpochBasedReclaimer {
   // drain.
   std::uint64_t fingerprint() const {
     Fingerprint fp;
-    for (const auto& proc : procs_) {
-      fp.mix_range(proc.free);
+    book_.fingerprint_into(fp);
+    for (int q = 0; q < n_; ++q) {
+      const auto& proc = book_.ext(q);
       fp.mix(proc.limbo.size());
       for (const Limbo& l : proc.limbo) fp.mix(l.index).mix(l.epoch);
       fp.mix(proc.retires_since_advance);
@@ -583,12 +550,6 @@ class EpochBasedReclaimer {
         fp.mix(proc.pending.peek(i));
       }
       fp.mix(proc.announce_mirror);
-      fp.mix(static_cast<std::uint64_t>(proc.phase));
-      fp.mix(proc.in_flight);
-      fp.mix(proc.in_retire);
-      fp.mix_range(proc.quarantine);
-      fp.mix(proc.expropriations);
-      fp.mix(proc.death.load(std::memory_order_relaxed));
     }
     return fp.value();
   }
@@ -601,11 +562,10 @@ class EpochBasedReclaimer {
     std::uint64_t epoch;  // Global epoch at retire (or batch-flush) time.
   };
 
-  // Thread-private bookkeeping, one cache line per process so the limbo/
-  // free container headers touched on every retire/allocate never
-  // false-share between processes.
-  struct alignas(util::kCacheLineSize) PerProcess {
-    std::deque<std::uint64_t> free;
+  // Per-process epoch state, riding in LocalBook's padded record beside the
+  // free list and crash markers (so the limbo/free container headers
+  // touched on every retire/allocate never false-share between processes).
+  struct Epochs {
     std::deque<Limbo> limbo;
     std::size_t retires_since_advance = 0;
     // Pressure-path throttle (heavy-advance platforms only): g+1 of the
@@ -617,24 +577,12 @@ class EpochBasedReclaimer {
     // one-shot flush. Always allocated (eager mode simply never fills it),
     // so both modes share every accounting path.
     structures::LocalRing<std::uint64_t> pending{kRetireBatch};
-    // Observability mirrors (reclaimer.h): p's own view of its announcement
-    // and protocol position. Written only by p, read by the engine while
-    // the processes are parked — no shared steps, no races.
+    // Observability mirror (reclaimer.h): p's own view of its
+    // announcement. Written only by p, read by the engine while the
+    // processes are parked — no shared steps, no races.
     std::uint64_t announce_mirror = kQuiescent;
-    ReclaimPhase phase = ReclaimPhase::kIdle;
-    // Crash-robustness bookkeeping (reclaim/death.h). in_flight is p's
-    // allocated-but-unlinked node, in_retire its unlinked-but-unrecorded
-    // retiree (both stored +1); quarantine holds nodes p quarantined from
-    // victims it expropriated; death is p's own word in the suspect/confirm
-    // handshake — the one field other processes write.
-    std::uint64_t in_flight = 0;
-    std::uint64_t in_retire = 0;
-    std::vector<std::uint64_t> quarantine;
-    std::size_t expropriations = 0;
-    std::atomic<std::uint8_t> death{kDeathLive};
   };
 
-  const DeathOracle* death_oracle_ = nullptr;
   int n_;
   typename P::WritableCas global_;
   // Freshest global epoch any process has observed; relaxed because it is
@@ -642,8 +590,7 @@ class EpochBasedReclaimer {
   std::atomic<std::uint64_t> global_mirror_{0};
   // unique_ptr: platform objects are immovable; Fast pads each to a line.
   std::vector<std::unique_ptr<typename P::Register>> announce_;
-  std::vector<PerProcess> procs_;
-  std::size_t pool_size_ = 0;
+  LocalBook<P, Epochs> book_;
 };
 
 // The deferred-announce instantiation under its own name (the reclaimer

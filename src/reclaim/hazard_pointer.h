@@ -1,12 +1,12 @@
 // HazardPointerReclaimer — Michael's hazard pointers over the index pool,
-// with a pluggable guard-publication mode.
+// with a pluggable guard-publication mode and a pluggable Book.
 //
 // A platform-generic index policy: each process owns kSlotsPerProcess
-// single-writer multi-reader Platform registers; guard(p, slot, i) publishes
+// single-writer multi-reader guard slots; guard(p, slot, i) publishes
 // i there, and the structure re-validates its source word after the publish
 // (if the word is unchanged, node i was not yet retired when the guard
 // became visible, so every later scan sees it). retire(p, i) defers i on a
-// thread-private list; once the list reaches the scan threshold, scan(p)
+// per-process retired list; once the list reaches the scan threshold, scan(p)
 // reads all H slots once (H = total slots) and releases every unguarded
 // index back to p's free list.
 //
@@ -37,15 +37,21 @@
 //       (thread-private state only), so sim runs stay deterministic and
 //       Fast ≡ Counted trace equivalence holds.
 //
+// The Book parameter (reclaim/book.h) decides where the bookkeeping, the
+// slots and the fence pair live: LocalBook<P> (default; "hazard",
+// "hazard_cached") or the shm tier's SharedBook<Env> ("leased_hazard",
+// "leased_hazard_cached" — the LeasedHazardReclaimer aliases).
+//
 // Fences: on platforms that opt into an asymmetric StoreLoad scheme
 // (PlatformFenceT, see util/asymmetric_fence.h and the FastAsymmetric
-// native policy), every performed publish is followed by Fence::light()
-// (a compiler barrier) and every scan opens with Fence::heavy() (the
-// membarrier/mprotect side). Scans amortize the heavy fence: on such
-// platforms the scan threshold is raised to at least kHeavyScanFloor
-// retires so the per-op share of the syscall stays in the noise. On
-// seq_cst platforms both fences are no-ops and the threshold is the
-// standard 2·H rule.
+// native policy), LocalBook's fence pair follows every performed publish
+// with Fence::light() (a compiler barrier) and opens every scan with
+// Fence::heavy() (the membarrier/mprotect side). Scans amortize the heavy
+// fence: with a real heavy fence the scan threshold is raised to at least
+// kHeavyFenceBatch retires so the per-op share of the syscall stays in the
+// noise. Otherwise (seq_cst platforms, and SharedBook on any platform —
+// its arena words are seq_cst) both fences are no-ops and the threshold is
+// the standard 2·H rule.
 //
 // Guarantees (docs/RECLAMATION.md has the comparison table):
 //   space  — unreclaimed garbage is bounded: per process at most the scan
@@ -68,33 +74,31 @@
 // FastAsymmetric, where the fence pair above replaces seq_cst's per-access
 // cost. Never under plain FastRelaxed.
 //
-// Crash robustness (reclaim/death.h): with a DeathOracle installed, every
-// scan first sweeps for dead processes and — after the two-phase
-// suspect/confirm handshake — expropriates them: clears their published
-// guards, splices their retired and free lists into the scanning process's,
-// and quarantines their in-flight allocation. Entry points self-check the
-// caller's own death word (veto a false suspicion, self-fence via
-// LeaseRevoked once expropriated). With no oracle (the default) every one
-// of these paths is inert and the step sequence is exactly the classic
-// protocol — the committed schedule corpus replays bit-identically.
+// Crash robustness (reclaim/death.h): every scan first sweeps the Book for
+// dead processes and — after the two-phase suspect/confirm handshake —
+// expropriates them: clears their published guards, splices their retired
+// and free lists into the scanning process's, and quarantines their
+// in-flight allocation. Entry points self-check the caller's own death word
+// or lease (veto a false suspicion, self-fence via LeaseRevoked once
+// expropriated). Under LocalBook with no oracle installed (the default)
+// every one of these paths is inert and the step sequence is exactly the
+// classic protocol — the committed schedule corpus replays bit-identically.
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/platform.h"
+#include "reclaim/book.h"
 #include "reclaim/death.h"
 #include "reclaim/reclaimer.h"
 #include "util/assert.h"
-#include "util/cacheline.h"
 
 namespace aba::reclaim {
 
@@ -106,44 +110,45 @@ struct CachedGuards {
   static constexpr bool kCached = true;
 };
 
-template <Platform P, class Mode = EagerGuards>
+template <Platform P, class Mode = EagerGuards, class BookT = LocalBook<P>>
 class HazardPointerReclaimer {
  public:
-  static constexpr bool kCachesGuards = Mode::kCached;
-  static constexpr const char* kName =
-      kCachesGuards ? "hazard_cached" : "hazard";
-  static constexpr bool kNeedsGuard = true;
   // Two slots cover every structure here: the Treiber stack guards the head
   // node (slot 0); the MS queue guards head (0) and head->next (1).
   static constexpr int kSlotsPerProcess = 2;
-  // On platforms with a real heavy fence (asymmetric scheme), scans batch
-  // at least this many retires so the membarrier cost amortizes to noise.
-  static constexpr std::size_t kHeavyScanFloor = 256;
-  static constexpr bool kHeavyScan =
-      !std::is_same_v<PlatformFenceT<P>, util::NoFence>;
 
-  HazardPointerReclaimer(typename P::Env& env, int n, FreeLists initial_free)
-      : n_(n), procs_(static_cast<std::size_t>(n)) {
-    ABA_CHECK(static_cast<int>(initial_free.size()) == n);
-    for (int p = 0; p < n; ++p) {
-      procs_[p].free = std::move(initial_free[p]);
-      pool_size_ += procs_[p].free.size();
-    }
-    slots_.reserve(static_cast<std::size_t>(n) * kSlotsPerProcess);
-    for (int i = 0; i < n * kSlotsPerProcess; ++i) {
-      slots_.push_back(std::make_unique<typename P::Register>(
-          env, "hp.slot", kNone, sim::BoundSpec::unbounded()));
-    }
+ private:
+  // What each of p's slots currently holds (the guard cache; also the eager
+  // mode's dirty tracking). kNone = slot clear. Rides in the Book's
+  // per-process record.
+  struct Guards {
+    std::array<std::uint64_t, kSlotsPerProcess> published{};
+  };
+  using Book = typename BookT::template With<Guards>;
+  using Fence = typename Book::Fence;
+
+ public:
+  using Env = typename Book::Env;
+  static constexpr bool kCachesGuards = Mode::kCached;
+  static constexpr const char* kName =
+      Book::kLeased ? (kCachesGuards ? "leased_hazard_cached" : "leased_hazard")
+                    : (kCachesGuards ? "hazard_cached" : "hazard");
+  static constexpr bool kNeedsGuard = true;
+  static constexpr bool kHeavyScan = !std::is_same_v<Fence, util::NoFence>;
+
+  HazardPointerReclaimer(Env& env, int n, FreeLists initial_free)
+      : book_(env, n, std::move(initial_free), kSlotsPerProcess) {}
+
+  // LocalBook only: SharedBook's death detection is the lease table.
+  void set_death_oracle(const DeathOracle* oracle)
+    requires(!Book::kLeased)
+  {
+    book_.set_death_oracle(oracle);
   }
 
-  // Installs the liveness oracle that arms the expropriation paths. Not a
-  // transfer of ownership; pass nullptr to disarm. Call before any process
-  // operates (the pointer itself is not synchronized).
-  void set_death_oracle(const DeathOracle* oracle) { death_oracle_ = oracle; }
-
   void begin_op(int p) {
-    death_self_check(procs_[p].death);
-    procs_[p].phase = ReclaimPhase::kInRegion;
+    book_.enter(p);
+    book_.set_phase(p, ReclaimPhase::kInRegion);
   }
 
   // Publishes node `idx` in (p, slot). At most one shared write; zero when
@@ -152,17 +157,18 @@ class HazardPointerReclaimer {
   void guard(int p, int slot, std::uint64_t idx) {
     ABA_ASSERT(slot >= 0 && slot < kSlotsPerProcess);
     const std::uint64_t word = idx + 1;
-    auto& published = procs_[p].published;
+    std::uint64_t& published =
+        book_.ext(p).published[static_cast<std::size_t>(slot)];
     // The phase marker flips before returning either way: a cache hit
     // protects exactly like a fresh publish, and the caller is now headed
     // into its revalidation read — the worst step to park at.
-    procs_[p].phase = ReclaimPhase::kGuardPublished;
-    if constexpr (kCachesGuards) {
-      if (published[static_cast<std::size_t>(slot)] == word) return;  // Hit.
+    book_.set_phase(p, ReclaimPhase::kGuardPublished);
+    if (!kCachesGuards || published != word) {
+      book_.slot_write(slot_index(p, slot), word);
+      Fence::light();
+      published = word;
     }
-    slot_ref(p, slot).write(word);
-    PlatformFenceT<P>::light();
-    published[static_cast<std::size_t>(slot)] = word;
+    book_.park(p, kParkGuardPublished);
   }
 
   // Eager mode: clears only the slots this op actually published (tracked
@@ -170,7 +176,7 @@ class HazardPointerReclaimer {
   // Cached mode: nothing — the published guards ARE the cache.
   void end_op(int p) {
     if constexpr (!kCachesGuards) clear_published(p);
-    procs_[p].phase = ReclaimPhase::kIdle;
+    book_.set_phase(p, ReclaimPhase::kIdle);
   }
 
   // The epoch-style explicit clear: drops every guard p has published.
@@ -180,55 +186,46 @@ class HazardPointerReclaimer {
   void detach(int p) { clear_published(p); }
 
   std::optional<std::uint64_t> allocate(int p) {
-    death_self_check(procs_[p].death);
-    auto& free = procs_[p].free;
-    if (free.empty()) {
+    book_.enter(p);
+    if (book_.free_empty(p)) {
       scan(p);  // Pool pressure: reclaim eagerly.
       if constexpr (kCachesGuards) {
         // Still dry? allocate runs outside any protected region, so p's
         // cached guards protect nothing in flight — drop them (they may
         // pin p's own recent retirees) and rescan.
-        if (free.empty() && has_published(p)) {
+        if (book_.free_empty(p) && has_published(p)) {
           detach(p);
           scan(p);
         }
       }
     }
-    if (free.empty()) return std::nullopt;
-    const std::uint64_t idx = free.front();
-    free.pop_front();
-    // In-flight marker: if p dies before its linking CAS commits, an
-    // expropriator quarantines this node instead of freeing it.
-    procs_[p].in_flight = idx + 1;
-    return idx;
+    return book_.take_free(p);
   }
 
   // The structure's linking CAS for p's in-flight node just succeeded: the
   // node is reachable, no longer at risk of being stranded by p's death.
-  void commit(int p) { procs_[p].in_flight = kNone; }
+  void commit(int p) { book_.commit(p); }
 
   void retire(int p, std::uint64_t idx) {
-    death_self_check(procs_[p].death);
-    const ReclaimPhase resume = procs_[p].phase;
-    procs_[p].phase = ReclaimPhase::kMidRetire;
-    procs_[p].retired.push_back(idx);
-    if (procs_[p].retired.size() >= scan_threshold()) scan(p);
-    procs_[p].phase = resume;
+    book_.enter(p);
+    const ReclaimPhase resume = book_.phase(p);
+    book_.set_phase(p, ReclaimPhase::kMidRetire);
+    book_.retire(p, idx);
+    if (book_.retired_count(p) >= scan_threshold()) scan(p);
+    book_.set_phase(p, resume);
   }
 
   // Batch hand-off (the Reclaimer concept's batched verb): the whole batch
   // lands on the retired list under ONE threshold check, so at most one
   // scan (and one heavy fence) runs regardless of the batch size.
   void retire_batch(int p, const std::uint64_t* idxs, std::size_t count) {
-    death_self_check(procs_[p].death);
+    book_.enter(p);
     if (count == 0) return;
-    const ReclaimPhase resume = procs_[p].phase;
-    procs_[p].phase = ReclaimPhase::kMidRetire;
-    for (std::size_t i = 0; i < count; ++i) {
-      procs_[p].retired.push_back(idxs[i]);
-    }
-    if (procs_[p].retired.size() >= scan_threshold()) scan(p);
-    procs_[p].phase = resume;
+    const ReclaimPhase resume = book_.phase(p);
+    book_.set_phase(p, ReclaimPhase::kMidRetire);
+    book_.retire_batch(p, idxs, count);
+    if (book_.retired_count(p) >= scan_threshold()) scan(p);
+    book_.set_phase(p, resume);
   }
 
   // Reads every hazard slot once and frees p's retired nodes that no slot
@@ -236,85 +233,58 @@ class HazardPointerReclaimer {
   // platforms, the one heavy fence that makes every reader's pending guard
   // publish visible before the slot reads.
   void scan(int p) {
-    PlatformFenceT<P>::heavy();
-    // Dead-lease sweep first, so a dead process's just-cleared guards are
+    Fence::heavy();
+    // Dead-process sweep first, so a dead process's just-cleared guards are
     // already gone from the slot reads below and its spliced-in retirees
     // get filtered in this very scan — a confirmed death is fully drained
     // within the same scan that confirms it.
-    expropriate_dead(p);
+    book_.sweep_dead(p, [this](int q) { clear_dead_guards(q); });
     std::vector<std::uint64_t> guarded;
-    guarded.reserve(slots_.size());
-    for (const auto& slot : slots_) {
-      const std::uint64_t word = slot->read();
+    guarded.reserve(book_.slot_count());
+    for (std::size_t i = 0; i < book_.slot_count(); ++i) {
+      const std::uint64_t word = book_.slot_read(i);
       if (word != kNone) guarded.push_back(word - 1);
     }
-    auto& retired = procs_[p].retired;
-    std::vector<std::uint64_t> keep;
-    keep.reserve(retired.size());
-    for (const std::uint64_t idx : retired) {
-      bool pinned = false;
-      for (const std::uint64_t g : guarded) {
-        if (g == idx) {
-          pinned = true;
-          break;
-        }
-      }
-      if (pinned) {
-        keep.push_back(idx);
-      } else {
-        procs_[p].free.push_back(idx);
-      }
-    }
-    retired = std::move(keep);
+    book_.reclaim_retired(p, [&guarded](std::uint64_t idx) {
+      return std::find(guarded.begin(), guarded.end(), idx) == guarded.end();
+    });
   }
 
   // 2·H — scans amortize to O(1) shared reads per retire while unreclaimed
   // garbage stays linear in the slot count — raised to the batch floor on
   // platforms where each scan also pays a heavy fence.
   std::size_t scan_threshold() const {
-    const std::size_t base = 2 * slots_.size();
-    if constexpr (kHeavyScan) return std::max(base, kHeavyScanFloor);
+    const std::size_t base = 2 * book_.slot_count();
+    if constexpr (kHeavyScan) return std::max(base, kHeavyFenceBatch);
     return base;
   }
 
-  std::size_t pool_size() const { return pool_size_; }
-  std::size_t unreclaimed(int p) const { return procs_[p].retired.size(); }
-  std::size_t free_count(int p) const { return procs_[p].free.size(); }
+  std::size_t pool_size() const { return book_.pool_size(); }
+  std::size_t unreclaimed(int p) const { return book_.retired_count(p); }
+  std::size_t free_count(int p) const { return book_.free_count(p); }
 
-  // Engine-side observability (reclaimer.h): everything below reads only
-  // thread-private bookkeeping, so sampling between steps is free.
+  // Engine-side observability (reclaimer.h): everything below reads
+  // thread-private bookkeeping or, on SharedBook, plain arena words, so
+  // sampling between steps is free.
   ReclaimStats stats() const {
-    ReclaimStats s;
-    s.pool_size = pool_size_;
-    for (const auto& proc : procs_) {
-      s.retired_unreclaimed += proc.retired.size();
-      s.free_nodes += proc.free.size();
-      for (const std::uint64_t word : proc.published) {
-        if (word != kNone) ++s.guard_slots_occupied;
+    ReclaimStats s = book_.stats();
+    for (int q = 0; q < book_.size(); ++q) {
+      for (int slot = 0; slot < kSlotsPerProcess; ++slot) {
+        if (guard_word(q, slot) != kNone) ++s.guard_slots_occupied;
       }
-      s.quarantined += proc.quarantine.size();
-      if (proc.in_flight != kNone) ++s.in_flight;
-      s.expropriations += proc.expropriations;
     }
     return s;
   }
-  ReclaimPhase phase(int p) const { return procs_[p].phase; }
+  ReclaimPhase phase(int p) const { return book_.phase(p); }
 
-  // The thread-private state the signature key misses: free-list order and
-  // retired contents decide which indices future allocates/scans move, the
-  // published mirror and phase decide where the next guard lands, and the
-  // crash bookkeeping decides what an expropriator would drain.
+  // The state the signature key misses: the Book's lists and crash
+  // bookkeeping, plus the published mirrors, which decide where the next
+  // guard lands.
   std::uint64_t fingerprint() const {
     Fingerprint fp;
-    for (const auto& proc : procs_) {
-      fp.mix_range(proc.free);
-      fp.mix_range(proc.retired);
-      fp.mix_range(proc.published);
-      fp.mix(static_cast<std::uint64_t>(proc.phase));
-      fp.mix(proc.in_flight);
-      fp.mix_range(proc.quarantine);
-      fp.mix(proc.expropriations);
-      fp.mix(proc.death.load(std::memory_order_relaxed));
+    book_.fingerprint_into(fp);
+    for (int q = 0; q < book_.size(); ++q) {
+      fp.mix_range(book_.ext(q).published);
     }
     return fp.value();
   }
@@ -322,100 +292,54 @@ class HazardPointerReclaimer {
  private:
   static constexpr std::uint64_t kNone = 0;  // Indices are stored +1.
 
-  typename P::Register& slot_ref(int p, int slot) {
-    ABA_ASSERT(p >= 0 && p < n_);
-    return *slots_[static_cast<std::size_t>(p) * kSlotsPerProcess + slot];
+  static std::size_t slot_index(int p, int slot) {
+    return static_cast<std::size_t>(p) * kSlotsPerProcess +
+           static_cast<std::size_t>(slot);
+  }
+
+  // What (q, slot) holds, read where it costs no shared step: the mirror
+  // when peers' mirrors are visible (a LocalBook register read would be a
+  // scheduled step), else the authoritative arena word.
+  std::uint64_t guard_word(int q, int slot) const {
+    if constexpr (Book::kPeerMirrorsVisible) {
+      return book_.ext(q).published[static_cast<std::size_t>(slot)];
+    } else {
+      return book_.slot_read(slot_index(q, slot));
+    }
   }
 
   bool has_published(int p) const {
-    for (const std::uint64_t word : procs_[p].published) {
+    for (const std::uint64_t word : book_.ext(p).published) {
       if (word != kNone) return true;
     }
     return false;
   }
 
   void clear_published(int p) {
-    auto& published = procs_[p].published;
+    auto& published = book_.ext(p).published;
     for (int slot = 0; slot < kSlotsPerProcess; ++slot) {
       if (published[static_cast<std::size_t>(slot)] != kNone) {
-        slot_ref(p, slot).write(kNone);
+        book_.slot_write(slot_index(p, slot), kNone);
         published[static_cast<std::size_t>(slot)] = kNone;
       }
     }
   }
 
-  // Two-phase dead-lease sweep (reclaim/death.h): suspect a dead-looking
-  // process on one scan, confirm — re-consulting the oracle — on a later
-  // one. The confirm CAS winner drains the victim. With no oracle (or no
-  // deaths) this loop performs no shared steps, which is what keeps the
-  // committed schedule corpus bit-identical.
-  void expropriate_dead(int p) {
-    if (death_oracle_ == nullptr) return;
-    for (int q = 0; q < n_; ++q) {
-      if (q == p || !death_oracle_->is_dead(q)) continue;
-      if (advance_death(procs_[q].death) == DeathStep::kConfirmed) {
-        expropriate(p, q);
+  // The sweep confirmed q dead: clear its published guards so this very
+  // scan's slot reads no longer see them. A LocalBook survivor knows
+  // exactly which slots q published; a SharedBook survivor holds only its
+  // own process's mirrors, so it clears every slot q owns.
+  void clear_dead_guards(int q) {
+    if constexpr (Book::kPeerMirrorsVisible) {
+      clear_published(q);
+    } else {
+      for (int slot = 0; slot < kSlotsPerProcess; ++slot) {
+        book_.slot_write(slot_index(q, slot), kNone);
       }
     }
   }
 
-  // p won the confirm CAS on q's death word: drain q. Clearing q's slots is
-  // a shared write per published guard; everything else splices q's
-  // (orphaned, now exclusively-owned) thread-private bookkeeping into p's.
-  void expropriate(int p, int q) {
-    auto& victim = procs_[q];
-    auto& mine = procs_[p];
-    for (int slot = 0; slot < kSlotsPerProcess; ++slot) {
-      if (victim.published[static_cast<std::size_t>(slot)] != kNone) {
-        slot_ref(q, slot).write(kNone);
-        victim.published[static_cast<std::size_t>(slot)] = kNone;
-      }
-    }
-    for (const std::uint64_t idx : victim.retired) mine.retired.push_back(idx);
-    victim.retired.clear();
-    while (!victim.free.empty()) {
-      mine.free.push_back(victim.free.front());
-      victim.free.pop_front();
-    }
-    if (victim.in_flight != kNone) {
-      // Possibly linked by a CAS whose bookkeeping store never ran (on real
-      // hardware the kill can land between the two) — quarantine, never free.
-      mine.quarantine.push_back(victim.in_flight - 1);
-      victim.in_flight = kNone;
-    }
-    ++mine.expropriations;
-  }
-
-  // Thread-private bookkeeping, one cache line per process: published[] is
-  // consulted/written on every guard and the container headers on every
-  // allocate/retire, so packing neighbours together would false-share.
-  struct alignas(util::kCacheLineSize) PerProcess {
-    std::deque<std::uint64_t> free;
-    std::vector<std::uint64_t> retired;
-    // What each of p's slots currently holds (the guard cache; also the
-    // eager mode's dirty tracking). kNone = slot clear.
-    std::array<std::uint64_t, kSlotsPerProcess> published{};
-    // Protocol position for the schedule-search engine (reclaimer.h).
-    ReclaimPhase phase = ReclaimPhase::kIdle;
-    // Crash-robustness bookkeeping (reclaim/death.h). in_flight is p's
-    // allocated-but-unlinked node (stored +1); quarantine holds nodes p
-    // quarantined from victims it expropriated; death is p's own state in
-    // the suspect/confirm handshake — the one field other processes write.
-    std::uint64_t in_flight = kNone;
-    std::vector<std::uint64_t> quarantine;
-    std::size_t expropriations = 0;
-    std::atomic<std::uint8_t> death{kDeathLive};
-  };
-
-  const DeathOracle* death_oracle_ = nullptr;
-  int n_;
-  // unique_ptr because platform objects wrap std::atomic and are immovable;
-  // the native Fast policy pads each register to its own cache line, which
-  // keeps one process's publish/clear traffic from invalidating its
-  // neighbours' slots.
-  std::vector<std::unique_ptr<typename P::Register>> slots_;
-  std::vector<PerProcess> procs_;
-  std::size_t pool_size_ = 0;
+  Book book_;
 };
 
 // The guard-caching instantiation under its own name (the reclaimer axis

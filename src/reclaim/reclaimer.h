@@ -91,6 +91,11 @@ namespace aba::reclaim {
 // their total. Every reclaimer is constructed from (Env&, n, FreeLists).
 using FreeLists = std::vector<std::deque<std::uint64_t>>;
 
+// Retires per heavy fence where the fence pair is not NoFence: the hazard
+// scan's threshold floor and the deferred epoch's retire batch (E9's batch
+// axis shows throughput still climbing past 64).
+inline constexpr std::size_t kHeavyFenceBatch = 256;
+
 // Where a process currently stands in its reclaimer's protocol. The value
 // is thread-private bookkeeping (updated by p's own calls, read by the
 // engine while every simulated process is parked at an announcement), so

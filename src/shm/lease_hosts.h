@@ -12,9 +12,9 @@
 //                     and park points are no-ops. This is what the native
 //                     determinism suites run the leased reclaimers on —
 //                     same protocol code, zero fork/shm machinery.
-//   LeasedFacade    — owns arena + lease table + an Env-templated base
-//                     reclaimer and presents the standard Reclaimer
-//                     concept surface, so a leased reclaimer can be
+//   LeasedFacade    — owns arena + lease table and derives from an
+//                     Env-templated base reclaimer, presenting the standard
+//                     Reclaimer concept surface, so a leased reclaimer can be
 //                     plugged into TreiberStack/MsQueue on ANY platform
 //                     (native or sim) via the usual (Env&, n, FreeLists)
 //                     constructor. sim/sim_lease.h derives the simulated
@@ -29,7 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -153,58 +153,41 @@ struct HostedEnv {
   reclaim::LeaseMutation mutation = reclaim::LeaseMutation::kNone;
 };
 
-// Owns the arena, the lease table, and the base leased reclaimer; forwards
-// the Reclaimer concept surface. Derived classes supply the host and the
-// mutations through the protected constructor and keep the standard
-// (PlatformEnv&, n, FreeLists) shape themselves.
+namespace detail {
+// The heap arena and lease table a LeasedFacade's reclaimer points into. A
+// base class of the facade, so both exist before the reclaimer does.
+template <class Env>
+struct LeasedHosting {
+  using Table = std::remove_pointer_t<decltype(Env::leases)>;
+
+  LeasedHosting(std::unique_ptr<Table> table, reclaim::LeaseMutation mutation)
+      : table_(std::move(table)),
+        env_{arena_.get(), table_.get(), /*owner=*/true, mutation} {}
+
+  std::unique_ptr<HeapArena> arena_ = std::make_unique<HeapArena>();
+  std::unique_ptr<Table> table_;
+  Env env_;
+};
+}  // namespace detail
+
+// Owns the arena and the lease table, and IS the base leased reclaimer —
+// the whole Reclaimer concept surface is inherited. Derived classes supply
+// the host and the mutations through the protected constructor and keep
+// the standard (PlatformEnv&, n, FreeLists) shape themselves.
 template <class Base>
-class LeasedFacade {
- public:
-  using Table = typename Base::Leases;
-  using Env = typename Base::EnvT;
-
-  static constexpr const char* kName = Base::kName;
-  static constexpr bool kNeedsGuard = Base::kNeedsGuard;
-
-  void begin_op(int p) { base_->begin_op(p); }
-  void guard(int p, int slot, std::uint64_t idx) { base_->guard(p, slot, idx); }
-  void end_op(int p) { base_->end_op(p); }
-  std::optional<std::uint64_t> allocate(int p) { return base_->allocate(p); }
-  void commit(int p) { base_->commit(p); }
-  void retire(int p, std::uint64_t idx) { base_->retire(p, idx); }
-  void retire_batch(int p, const std::uint64_t* idxs, std::size_t count) {
-    base_->retire_batch(p, idxs, count);
-  }
-  void detach(int p)
-    requires requires(Base& b) { b.detach(p); }
-  {
-    base_->detach(p);
-  }
-
-  std::size_t pool_size() const { return base_->pool_size(); }
-  std::size_t unreclaimed(int p) const { return base_->unreclaimed(p); }
-  reclaim::ReclaimStats stats() const { return base_->stats(); }
-  reclaim::ReclaimPhase phase(int p) const { return base_->phase(p); }
-  std::uint64_t fingerprint() const { return base_->fingerprint(); }
-
-  Table& table() { return *table_; }
-  Base& base() { return *base_; }
+class LeasedFacade : private detail::LeasedHosting<typename Base::Env>,
+                     public Base {
+  using Hosting = detail::LeasedHosting<typename Base::Env>;
+  using Table = typename Hosting::Table;
 
  protected:
   template <class Host>
   LeasedFacade(int n, reclaim::FreeLists initial, Host host,
                reclaim::LeaseMutation table_mutation,
                reclaim::LeaseMutation reclaimer_mutation)
-      : arena_(std::make_unique<HeapArena>()),
-        table_(std::make_unique<Table>(std::move(host), n, table_mutation)),
-        env_{arena_.get(), table_.get(), /*owner=*/true, reclaimer_mutation},
-        base_(std::in_place, env_, n, std::move(initial)) {}
-
- private:
-  std::unique_ptr<HeapArena> arena_;
-  std::unique_ptr<Table> table_;
-  Env env_;
-  std::optional<Base> base_;
+      : Hosting(std::make_unique<Table>(std::move(host), n, table_mutation),
+                reclaimer_mutation),
+        Base(this->env_, n, std::move(initial)) {}
 };
 
 namespace detail {
@@ -216,30 +199,21 @@ using ThreadEnv = HostedEnv<ThreadLeaseTable>;
 // protocol runs for real (self_check/beat/staleness suspicion — vetoes
 // only, never confirms). Constructible from any platform Env; the platform
 // env is unused because all leased state is hosted here.
+template <class Base>
+class ThreadLeased final : public LeasedFacade<Base> {
+ public:
+  template <class PlatformEnv>
+  ThreadLeased(PlatformEnv& /*env*/, int n, reclaim::FreeLists initial)
+      : LeasedFacade<Base>(n, std::move(initial), ThreadLeaseHost(n),
+                           reclaim::LeaseMutation::kNone,
+                           reclaim::LeaseMutation::kNone) {}
+};
+
 template <bool kCached>
-class ThreadLeasedHazardReclaimerT final
-    : public LeasedFacade<LeasedHazardReclaimerT<kCached, detail::ThreadEnv>> {
-  using Facade = LeasedFacade<LeasedHazardReclaimerT<kCached, detail::ThreadEnv>>;
-
- public:
-  template <class PlatformEnv>
-  ThreadLeasedHazardReclaimerT(PlatformEnv& /*env*/, int n,
-                               reclaim::FreeLists initial)
-      : Facade(n, std::move(initial), ThreadLeaseHost(n),
-               reclaim::LeaseMutation::kNone, reclaim::LeaseMutation::kNone) {}
-};
-
-class ThreadLeasedEpochReclaimer final
-    : public LeasedFacade<LeasedEpochReclaimerT<detail::ThreadEnv>> {
-  using Facade = LeasedFacade<LeasedEpochReclaimerT<detail::ThreadEnv>>;
-
- public:
-  template <class PlatformEnv>
-  ThreadLeasedEpochReclaimer(PlatformEnv& /*env*/, int n,
-                             reclaim::FreeLists initial)
-      : Facade(n, std::move(initial), ThreadLeaseHost(n),
-               reclaim::LeaseMutation::kNone, reclaim::LeaseMutation::kNone) {}
-};
+using ThreadLeasedHazardReclaimerT =
+    ThreadLeased<LeasedHazard<kCached, detail::ThreadEnv>>;
+using ThreadLeasedEpochReclaimer =
+    ThreadLeased<LeasedEpochReclaimerT<detail::ThreadEnv>>;
 
 using ThreadLeasedHazardReclaimer = ThreadLeasedHazardReclaimerT<false>;
 using ThreadLeasedCachedHazardReclaimer = ThreadLeasedHazardReclaimerT<true>;

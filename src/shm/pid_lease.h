@@ -94,19 +94,13 @@ inline constexpr std::uint64_t kLeaseLive = 1;
 inline constexpr std::uint64_t kLeaseSuspect = 2;
 inline constexpr std::uint64_t kLeaseDead = 3;
 
-// Park points for the crash harness (tests/shm_crash_child.cpp): a worker
-// that finds its lease's park_request naming one of these spins there —
-// still holding whatever it just published — until killed or released. The
-// sim host renders each park point as one announced (schedulable) step
-// instead, which is where the model checker's crash grants land.
-inline constexpr std::uint64_t kParkNone = 0;
-inline constexpr std::uint64_t kParkGuardPublished = 1;
-inline constexpr std::uint64_t kParkEpochAnnounced = 2;
-inline constexpr std::uint64_t kParkMidRetire = 3;
-// Between the structure's linking CAS and commit(p)'s in_flight clear: the
-// node is (possibly) reachable AND still marked — the window the quarantine
-// rule exists for.
-inline constexpr std::uint64_t kParkInFlight = 4;
+// Park points (reclaim/death.h): a crash-harness worker whose park_request
+// names one spins there until killed or released.
+using reclaim::kParkEpochAnnounced;
+using reclaim::kParkGuardPublished;
+using reclaim::kParkInFlight;
+using reclaim::kParkMidRetire;
+using reclaim::kParkNone;
 
 struct alignas(util::kCacheLineSize) LeaseRecord {
   // state in bits [0,8), generation above. One word so every transition is

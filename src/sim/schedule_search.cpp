@@ -393,153 +393,97 @@ SearchFixture make_sharded_stack_fixture(int n, int pool) {
   return fx;
 }
 
-}  // namespace
+using Hazard = reclaim::HazardPointerReclaimer<SimP>;
+using Cached = reclaim::CachedHazardPointerReclaimer<SimP>;
+using Epoch = reclaim::EpochBasedReclaimer<SimP>;
+using Deferred = reclaim::DeferredEpochReclaimer<SimP>;
+using Tagged = reclaim::TaggedReclaimer<SimP>;
+using Leaky = reclaim::LeakyReclaimer<SimP>;
+using Mutant = reclaim::MutantTaggedReclaimer<SimP>;
+using TaggedHead = structures::TaggedCasHead<SimP>;
+using reclaim::LeaseMutation;
 
-SearchFixtureFactory reclaim_fixture(const std::string& name,
-                                     int pool_per_process) {
-  using Hazard = reclaim::HazardPointerReclaimer<SimP>;
-  using Cached = reclaim::CachedHazardPointerReclaimer<SimP>;
-  using Epoch = reclaim::EpochBasedReclaimer<SimP>;
-  using Deferred = reclaim::DeferredEpochReclaimer<SimP>;
-  using Tagged = reclaim::TaggedReclaimer<SimP>;
-  using Leaky = reclaim::LeakyReclaimer<SimP>;
-  using Mutant = reclaim::MutantTaggedReclaimer<SimP>;
-  using TaggedHead = structures::TaggedCasHead<SimP>;
-  const int pool = pool_per_process;
-  ABA_CHECK(pool >= 1);
-  if (name == "stack_hazard") {
-    return [pool](int n) { return make_stack_fixture<Hazard>(n, pool); };
-  }
-  if (name == "stack_hazard_cached") {
-    return [pool](int n) { return make_stack_fixture<Cached>(n, pool); };
-  }
-  if (name == "stack_epoch") {
-    return [pool](int n) { return make_stack_fixture<Epoch>(n, pool); };
-  }
-  if (name == "stack_epoch_deferred") {
+struct FixtureEntry {
+  const char* name;
+  SearchFixture (*make)(int n, int pool);
+};
+
+// The fixture registry, in reclaim_fixture_names() order — the committed
+// .sched meta lines and the demo's output name fixtures by these strings.
+constexpr FixtureEntry kFixtures[] = {
+    {"stack_hazard", make_stack_fixture<Hazard>},
+    {"stack_hazard_cached", make_stack_fixture<Cached>},
+    {"stack_epoch", make_stack_fixture<Epoch>},
     // Deferred-announce variant: the announcement is cached across ops and
     // only refreshed on an epoch miss, so most begin_ops take one shared
     // read and zero stores. The searcher probes the announce-validate
     // window that the caching widens.
-    return [pool](int n) { return make_stack_fixture<Deferred>(n, pool); };
-  }
-  if (name == "stack_tagged") {
+    {"stack_epoch_deferred", make_stack_fixture<Deferred>},
     // The shipped immediate-reuse configuration: the TaggedCasHead's
     // per-swing version bump is what detects recycled indices.
-    return [pool](int n) {
-      return make_stack_fixture<Tagged, TaggedHead>(n, pool);
-    };
-  }
-  if (name == "stack_leaky") {
-    return [pool](int n) { return make_stack_fixture<Leaky>(n, pool); };
-  }
-  if (name == "stack_mutant_tagged") {
+    {"stack_tagged", make_stack_fixture<Tagged, TaggedHead>},
+    {"stack_leaky", make_stack_fixture<Leaky>},
     // The seeded bug: immediate reuse on a raw head — no version bump
     // anywhere. The spec-driven search must convict this one.
-    return [pool](int n) { return make_stack_fixture<Mutant>(n, pool); };
-  }
-  if (name == "queue_hazard") {
-    return [pool](int n) { return make_queue_fixture<Hazard>(n, pool); };
-  }
-  if (name == "queue_hazard_cached") {
-    return [pool](int n) { return make_queue_fixture<Cached>(n, pool); };
-  }
-  if (name == "queue_epoch") {
-    return [pool](int n) { return make_queue_fixture<Epoch>(n, pool); };
-  }
-  if (name == "queue_epoch_deferred") {
-    return [pool](int n) { return make_queue_fixture<Deferred>(n, pool); };
-  }
-  if (name == "sharded_stack_hazard_cached") {
-    return [pool](int n) { return make_sharded_stack_fixture(n, pool); };
-  }
-  // ---- The crash-robust shm tier, sim-hosted (sim/sim_lease.h): real
-  // PidLeaseTable protocol + LeasedHazard/LeasedEpoch reclaimers over a
-  // simulated shared-segment arena. Crash grants (`!p`) drive the actual
-  // suspect -> confirm -> seize/veto/quarantine machinery under the search.
-  if (name == "stack_leased_hazard") {
-    return [pool](int n) {
-      return make_stack_fixture<sim::SimLeasedHazardReclaimer>(n, pool);
-    };
-  }
-  if (name == "stack_leased_hazard_cached") {
-    return [pool](int n) {
-      return make_stack_fixture<sim::SimLeasedCachedHazardReclaimer>(n, pool);
-    };
-  }
-  if (name == "stack_leased_epoch") {
-    return [pool](int n) {
-      return make_stack_fixture<sim::SimLeasedEpochReclaimer>(n, pool);
-    };
-  }
-  if (name == "stack_leased_epoch_batched") {
-    // Every retire routed through the retire_batch pending window (chunk of
-    // one): the searched mid-batch crash juncture of PR 9's staged hand-off.
-    return [pool](int n) {
-      return make_stack_fixture<sim::SimLeasedEpochBatchedReclaimer>(n, pool);
-    };
-  }
-  if (name == "queue_leased_hazard") {
-    return [pool](int n) {
-      return make_queue_fixture<sim::SimLeasedHazardReclaimer>(n, pool);
-    };
-  }
-  if (name == "queue_leased_hazard_cached") {
-    return [pool](int n) {
-      return make_queue_fixture<sim::SimLeasedCachedHazardReclaimer>(n, pool);
-    };
-  }
-  if (name == "queue_leased_epoch") {
-    return [pool](int n) {
-      return make_queue_fixture<sim::SimLeasedEpochReclaimer>(n, pool);
-    };
-  }
-  // ---- The lease-mutant zoo (reclaim/mutant.h, LeaseMutation): each drops
-  // exactly one safety decision of the death handshake. The bounded search
-  // must convict all three; the all-kNone fixtures above must survive the
-  // identical budget.
-  if (name == "stack_leased_mutant_stale_confirm") {
-    return [pool](int n) {
-      return make_stack_fixture<sim::SimLeasedHazardReclaimerT<
-          false, reclaim::LeaseMutation::kStaleConfirm>>(n, pool);
-    };
-  }
-  if (name == "stack_leased_mutant_no_quarantine") {
-    return [pool](int n) {
-      return make_stack_fixture<sim::SimLeasedHazardReclaimerT<
-          false, reclaim::LeaseMutation::kNone,
-          reclaim::LeaseMutation::kNoQuarantine>>(n, pool);
-    };
-  }
-  if (name == "stack_leased_mutant_no_restamp") {
-    return [pool](int n) {
-      return make_stack_fixture<sim::SimLeasedEpochReclaimerT<
-          reclaim::LeaseMutation::kNone, reclaim::LeaseMutation::kNoRestamp>>(
-          n, pool);
-    };
-  }
-  if (name == "ring_mpmc") {
+    {"stack_mutant_tagged", make_stack_fixture<Mutant>},
+    {"queue_hazard", make_queue_fixture<Hazard>},
+    {"queue_hazard_cached", make_queue_fixture<Cached>},
+    {"queue_epoch", make_queue_fixture<Epoch>},
+    {"queue_epoch_deferred", make_queue_fixture<Deferred>},
+    {"sharded_stack_hazard_cached", make_sharded_stack_fixture},
     // Reclaimer-free: pool_per_process does not apply.
-    return [](int n) { return make_ring_fixture(n); };
+    {"ring_mpmc", [](int n, int) { return make_ring_fixture(n); }},
+    // ---- The crash-robust shm tier, sim-hosted (sim/sim_lease.h): real
+    // PidLeaseTable protocol + the hazard and leased-epoch reclaimers over
+    // SharedBook and a simulated shared-segment arena. Crash grants (`!p`)
+    // drive the actual suspect -> confirm -> seize/veto/quarantine
+    // machinery under the search.
+    {"stack_leased_hazard", make_stack_fixture<sim::SimLeasedHazardReclaimer>},
+    {"stack_leased_hazard_cached",
+     make_stack_fixture<sim::SimLeasedCachedHazardReclaimer>},
+    {"stack_leased_epoch", make_stack_fixture<sim::SimLeasedEpochReclaimer>},
+    // Every retire routed through the retire_batch pending window (chunk of
+    // one): the searched mid-batch crash juncture of the staged hand-off.
+    {"stack_leased_epoch_batched",
+     make_stack_fixture<sim::SimLeasedEpochBatchedReclaimer>},
+    {"queue_leased_hazard", make_queue_fixture<sim::SimLeasedHazardReclaimer>},
+    {"queue_leased_hazard_cached",
+     make_queue_fixture<sim::SimLeasedCachedHazardReclaimer>},
+    {"queue_leased_epoch", make_queue_fixture<sim::SimLeasedEpochReclaimer>},
+    // ---- The lease-mutant zoo (reclaim/mutant.h, LeaseMutation): each drops
+    // exactly one safety decision of the death handshake. The bounded search
+    // must convict all three; the all-kNone fixtures above must survive the
+    // identical budget.
+    {"stack_leased_mutant_stale_confirm",
+     make_stack_fixture<
+         sim::SimLeasedHazardReclaimerT<false, LeaseMutation::kStaleConfirm>>},
+    {"stack_leased_mutant_no_quarantine",
+     make_stack_fixture<sim::SimLeasedHazardReclaimerT<
+         false, LeaseMutation::kNone, LeaseMutation::kNoQuarantine>>},
+    {"stack_leased_mutant_no_restamp",
+     make_stack_fixture<sim::SimLeasedEpochReclaimerT<
+         LeaseMutation::kNone, LeaseMutation::kNoRestamp>>},
+};
+
+}  // namespace
+
+SearchFixtureFactory reclaim_fixture(const std::string& name,
+                                     int pool_per_process) {
+  const int pool = pool_per_process;
+  ABA_CHECK(pool >= 1);
+  for (const FixtureEntry& entry : kFixtures) {
+    if (name == entry.name) {
+      return [make = entry.make, pool](int n) { return make(n, pool); };
+    }
   }
   ABA_CHECK_MSG(false, "unknown schedule-search fixture name");
   return nullptr;
 }
 
 std::vector<std::string> reclaim_fixture_names() {
-  return {"stack_hazard",  "stack_hazard_cached",         "stack_epoch",
-          "stack_epoch_deferred",                         "stack_tagged",
-          "stack_leaky",   "stack_mutant_tagged",         "queue_hazard",
-          "queue_hazard_cached",                          "queue_epoch",
-          "queue_epoch_deferred",
-          "sharded_stack_hazard_cached",                  "ring_mpmc",
-          "stack_leased_hazard",                          "stack_leased_hazard_cached",
-          "stack_leased_epoch",                           "stack_leased_epoch_batched",
-          "queue_leased_hazard",                          "queue_leased_hazard_cached",
-          "queue_leased_epoch",
-          "stack_leased_mutant_stale_confirm",
-          "stack_leased_mutant_no_quarantine",
-          "stack_leased_mutant_no_restamp"};
+  std::vector<std::string> names;
+  for (const FixtureEntry& entry : kFixtures) names.emplace_back(entry.name);
+  return names;
 }
 
 std::vector<harness::WorkloadOp> storm_workload(const std::string& fixture,

@@ -152,32 +152,25 @@ using SimLeasedEnv = shm::HostedEnv<SimLeaseTable>;
 // feeds the lease table (kStaleConfirm lives there), ReclMut feeds the
 // book/reclaimer (kNoQuarantine, kNoRestamp). All-kNone instantiations are
 // the shipped behavior; anything else exists to be convicted.
+template <class Base,
+          reclaim::LeaseMutation TableMut = reclaim::LeaseMutation::kNone,
+          reclaim::LeaseMutation ReclMut = reclaim::LeaseMutation::kNone>
+class SimLeased : public shm::LeasedFacade<Base> {
+ public:
+  SimLeased(SimWorld& world, int n, reclaim::FreeLists initial)
+      : shm::LeasedFacade<Base>(n, std::move(initial), SimLeaseHost(world, n),
+                                TableMut, ReclMut) {}
+};
+
 template <bool kCached,
           reclaim::LeaseMutation TableMut = reclaim::LeaseMutation::kNone,
           reclaim::LeaseMutation ReclMut = reclaim::LeaseMutation::kNone>
-class SimLeasedHazardReclaimerT final
-    : public shm::LeasedFacade<
-          shm::LeasedHazardReclaimerT<kCached, SimLeasedEnv>> {
-  using Facade =
-      shm::LeasedFacade<shm::LeasedHazardReclaimerT<kCached, SimLeasedEnv>>;
-
- public:
-  SimLeasedHazardReclaimerT(SimWorld& world, int n, reclaim::FreeLists initial)
-      : Facade(n, std::move(initial), SimLeaseHost(world, n), TableMut,
-               ReclMut) {}
-};
-
+using SimLeasedHazardReclaimerT =
+    SimLeased<shm::LeasedHazard<kCached, SimLeasedEnv>, TableMut, ReclMut>;
 template <reclaim::LeaseMutation TableMut = reclaim::LeaseMutation::kNone,
           reclaim::LeaseMutation ReclMut = reclaim::LeaseMutation::kNone>
-class SimLeasedEpochReclaimerT final
-    : public shm::LeasedFacade<shm::LeasedEpochReclaimerT<SimLeasedEnv>> {
-  using Facade = shm::LeasedFacade<shm::LeasedEpochReclaimerT<SimLeasedEnv>>;
-
- public:
-  SimLeasedEpochReclaimerT(SimWorld& world, int n, reclaim::FreeLists initial)
-      : Facade(n, std::move(initial), SimLeaseHost(world, n), TableMut,
-               ReclMut) {}
-};
+using SimLeasedEpochReclaimerT =
+    SimLeased<shm::LeasedEpochReclaimerT<SimLeasedEnv>, TableMut, ReclMut>;
 
 using SimLeasedHazardReclaimer = SimLeasedHazardReclaimerT<false>;
 using SimLeasedCachedHazardReclaimer = SimLeasedHazardReclaimerT<true>;
@@ -188,15 +181,9 @@ using SimLeasedEpochReclaimer = SimLeasedEpochReclaimerT<>;
 // stamp window of PR 9's batched retire under every searched pop, so a
 // crash grant can land between staging and chunk stamping and the search
 // can verify the pending-window re-home path with spec verdicts on.
-class SimLeasedEpochBatchedReclaimer final
-    : public shm::LeasedFacade<shm::LeasedEpochReclaimerT<SimLeasedEnv>> {
-  using Facade = shm::LeasedFacade<shm::LeasedEpochReclaimerT<SimLeasedEnv>>;
-
+class SimLeasedEpochBatchedReclaimer final : public SimLeasedEpochReclaimer {
  public:
-  SimLeasedEpochBatchedReclaimer(SimWorld& world, int n,
-                                 reclaim::FreeLists initial)
-      : Facade(n, std::move(initial), SimLeaseHost(world, n),
-               reclaim::LeaseMutation::kNone, reclaim::LeaseMutation::kNone) {}
+  using SimLeasedEpochReclaimer::SimLeased;
 
   void retire(int p, std::uint64_t idx) {
     std::uint64_t one = idx;

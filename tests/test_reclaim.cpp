@@ -40,6 +40,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -122,14 +123,45 @@ TEST(LeakyReclaimer, RetiredNodesNeverReturn) {
 
 // --------------------------------------------------------- unit: hazard
 
-TEST(HazardPointerReclaimer, GuardPinsAcrossScan) {
+// The unit contracts below hold for the hazard algorithm over either Book:
+// LocalBook (in-process) and SharedBook (the shm tier's arena book, hosted
+// here on the thread lease table, whose facade IS the reclaimer).
+template <class Mode>
+struct LocalBookHazard {
+  static constexpr const char* kBook = "LocalBook";
+  using Reclaimer = HazardPointerReclaimer<NativeP, Mode>;
+};
+
+template <bool kCached>
+struct SharedBookHazard {
+  static constexpr const char* kBook = "SharedBook";
+  using Reclaimer = shm::ThreadLeasedHazardReclaimerT<kCached>;
+};
+
+struct BookName {
+  template <class Case>
+  static std::string GetName(int) {
+    return Case::kBook;
+  }
+};
+
+template <class Case>
+class HazardReclaimerBooks : public ::testing::Test {};
+using EagerHazardBooks =
+    ::testing::Types<LocalBookHazard<EagerGuards>, SharedBookHazard<false>>;
+TYPED_TEST_SUITE(HazardReclaimerBooks, EagerHazardBooks, BookName);
+
+TYPED_TEST(HazardReclaimerBooks, GuardPinsAcrossScan) {
   typename NativeP::Env env;
   FreeLists free(2);
   free[0] = {0, 1};
-  HazardPointerReclaimer<NativeP> r(env, 2, free);
-  // Process 1 guards node 0; process 0 retires it.
-  r.guard(1, 0, 0);
-  r.retire(0, 0);
+  typename TypeParam::Reclaimer r(env, 2, free);
+  // Process 1 guards process 0's node; process 0 retires it.
+  const auto idx = r.allocate(0);
+  ASSERT_TRUE(idx.has_value());
+  r.commit(0);
+  r.guard(1, 0, *idx);
+  r.retire(0, *idx);
   r.scan(0);
   EXPECT_EQ(r.unreclaimed(0), 1u) << "guarded node must survive a scan";
   r.end_op(1);
@@ -137,22 +169,24 @@ TEST(HazardPointerReclaimer, GuardPinsAcrossScan) {
   EXPECT_EQ(r.unreclaimed(0), 0u) << "unguarded node must be reclaimed";
 }
 
-TEST(HazardPointerReclaimer, AllocateScansUnderPoolPressure) {
+TYPED_TEST(HazardReclaimerBooks, AllocateScansUnderPoolPressure) {
   typename NativeP::Env env;
-  HazardPointerReclaimer<NativeP> r(env, 1, one_process_pool(1));
+  typename TypeParam::Reclaimer r(env, 1, one_process_pool(1));
   EXPECT_EQ(r.allocate(0), std::optional<std::uint64_t>(0));
+  r.commit(0);
   r.retire(0, 0);
   // Free list is empty but node 0 is unguarded: allocate must reclaim it.
   EXPECT_EQ(r.allocate(0), std::optional<std::uint64_t>(0));
 }
 
-TEST(HazardPointerReclaimer, ThresholdTriggersScan) {
+TYPED_TEST(HazardReclaimerBooks, ThresholdTriggersScan) {
   typename NativeP::Env env;
-  HazardPointerReclaimer<NativeP> r(env, 1, one_process_pool(64));
+  typename TypeParam::Reclaimer r(env, 1, one_process_pool(64));
   const std::size_t threshold = r.scan_threshold();
   for (std::size_t i = 0; i < threshold; ++i) {
     auto idx = r.allocate(0);
     ASSERT_TRUE(idx.has_value());
+    r.commit(0);
     r.retire(0, *idx);
   }
   EXPECT_LT(r.unreclaimed(0), threshold)
@@ -184,14 +218,23 @@ TEST(CachedHazardReclaimer, GuardCacheHitSkipsThePublish) {
   EXPECT_EQ(native::step_counter() - before_detach, 1u);
 }
 
-TEST(CachedHazardReclaimer, EndOpKeepsTheGuardPinnedUntilDetach) {
+template <class Case>
+class CachedHazardReclaimerBooks : public ::testing::Test {};
+using CachedHazardBooks =
+    ::testing::Types<LocalBookHazard<CachedGuards>, SharedBookHazard<true>>;
+TYPED_TEST_SUITE(CachedHazardReclaimerBooks, CachedHazardBooks, BookName);
+
+TYPED_TEST(CachedHazardReclaimerBooks, EndOpKeepsTheGuardPinnedUntilDetach) {
   typename NativeP::Env env;
   FreeLists free(2);
   free[0] = {0, 1};
-  CachedHazardPointerReclaimer<NativeP> r(env, 2, free);
-  r.guard(1, 0, 0);
+  typename TypeParam::Reclaimer r(env, 2, free);
+  const auto idx = r.allocate(0);
+  ASSERT_TRUE(idx.has_value());
+  r.commit(0);
+  r.guard(1, 0, *idx);
   r.end_op(1);  // Eager mode would clear here; cached keeps publishing.
-  r.retire(0, 0);
+  r.retire(0, *idx);
   r.scan(0);
   EXPECT_EQ(r.unreclaimed(0), 1u)
       << "a guard cached across end_op must still pin";
@@ -200,10 +243,11 @@ TEST(CachedHazardReclaimer, EndOpKeepsTheGuardPinnedUntilDetach) {
   EXPECT_EQ(r.unreclaimed(0), 0u) << "detach is the release point";
 }
 
-TEST(CachedHazardReclaimer, AllocateDropsOwnCacheUnderPoolPressure) {
+TYPED_TEST(CachedHazardReclaimerBooks, AllocateDropsOwnCacheUnderPoolPressure) {
   typename NativeP::Env env;
-  CachedHazardPointerReclaimer<NativeP> r(env, 1, one_process_pool(1));
+  typename TypeParam::Reclaimer r(env, 1, one_process_pool(1));
   EXPECT_EQ(r.allocate(0), std::optional<std::uint64_t>(0));
+  r.commit(0);
   r.guard(0, 0, 0);
   r.end_op(0);
   r.retire(0, 0);
@@ -1099,19 +1143,30 @@ TEST(RetireBatch, LeakyBatchNeverReturns) {
   EXPECT_EQ(r.unreclaimed(0), 2u);
 }
 
-TEST(RetireBatch, HazardBatchPaysOneScanAndRespectsGuards) {
+template <class Case>
+class RetireBatchHazardReclaimer : public ::testing::Test {};
+TYPED_TEST_SUITE(RetireBatchHazardReclaimer, EagerHazardBooks, BookName);
+
+TYPED_TEST(RetireBatchHazardReclaimer,
+           HazardBatchPaysOneScanAndRespectsGuards) {
   typename NativeP::Env env;
-  // The Counted threshold is the 2·H rule: 2 · (n · slots-per-process).
+  // Counted (and SharedBook on any platform) uses the 2·H rule:
+  // 2 · (n · slots-per-process).
   const std::size_t threshold =
       2 * 2 * HazardPointerReclaimer<NativeP>::kSlotsPerProcess;
   FreeLists free(2);
   free[0].resize(threshold);
   for (std::size_t i = 0; i < threshold; ++i) free[0][i] = i;
-  HazardPointerReclaimer<NativeP> r(env, 2, free);
+  typename TypeParam::Reclaimer r(env, 2, free);
   ASSERT_EQ(r.scan_threshold(), threshold);
-  r.guard(1, 0, 0);  // p1 pins node 0 across the whole batch.
-  std::vector<std::uint64_t> batch(threshold);
-  for (std::size_t i = 0; i < threshold; ++i) batch[i] = i;
+  std::vector<std::uint64_t> batch;
+  for (std::size_t i = 0; i < threshold; ++i) {
+    const auto idx = r.allocate(0);
+    ASSERT_TRUE(idx.has_value());
+    r.commit(0);
+    batch.push_back(*idx);
+  }
+  r.guard(1, 0, batch[0]);  // p1 pins one node across the whole batch.
   r.retire_batch(0, batch.data(), threshold);
   EXPECT_EQ(r.unreclaimed(0), 1u)
       << "one threshold scan at the end must reclaim all but the pinned node";
@@ -1431,7 +1486,7 @@ TEST(NativeAsymmetricFenceStress, CachedHazardStackBalancedAccounting) {
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 1500;
   typename AsymP::Env env;
-  // Headroom past the asymmetric scan batch (kHeavyScanFloor retires can be
+  // Headroom past the asymmetric scan batch (kHeavyFenceBatch retires can be
   // in flight per process) plus the cached-guard pins.
   Stack stack(env, kThreads,
               std::make_unique<structures::RawCasHead<AsymP>>(env, kThreads),

@@ -253,6 +253,33 @@ TEST(ScheduleScript, AllStandardFixturesConstruct) {
   }
 }
 
+// tools/schedule_dump.py warns on fixture names it does not know; its
+// KNOWN_FIXTURES set must name exactly the registered fixtures.
+TEST(ScheduleScript, DumpToolKnowsExactlyTheRegisteredFixtures) {
+  const std::filesystem::path tool =
+      std::filesystem::path(ABA_SCHEDULE_DIR) / ".." / ".." / "tools" /
+      "schedule_dump.py";
+  std::ifstream in(tool);
+  ASSERT_TRUE(in.good()) << "cannot read " << tool;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  const std::size_t open = text.find("KNOWN_FIXTURES = frozenset([");
+  ASSERT_NE(open, std::string::npos) << "no KNOWN_FIXTURES set in " << tool;
+  const std::size_t close = text.find("])", open);
+  ASSERT_NE(close, std::string::npos);
+  std::set<std::string> known;
+  for (std::size_t q = text.find('"', open); q < close;
+       q = text.find('"', q + 1)) {
+    const std::size_t end = text.find('"', q + 1);
+    ASSERT_LT(end, close);
+    known.insert(text.substr(q + 1, end - q - 1));
+    q = end;
+  }
+  const auto names = reclaim_fixture_names();
+  EXPECT_EQ(known, std::set<std::string>(names.begin(), names.end()));
+}
+
 // ----------------------------------------------- search vs scripted seed
 
 TEST(ScheduleSearch, BeatsScriptedSeedStackHazardCached) {

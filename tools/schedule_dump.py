@@ -18,9 +18,11 @@ import sys
 from collections import Counter
 
 # Fixture names the engine registers (src/sim/schedule_search.cpp,
-# reclaim_fixture_names()). Kept in sync by hand; an unknown name is a
-# warning rather than an error so the dump stays usable on scripts from a
-# newer engine, but a typo in a hand-edited script still surfaces.
+# reclaim_fixture_names()). A gtest in tests/test_schedule_search.cpp
+# (ScheduleScript.DumpToolKnowsExactlyTheRegisteredFixtures) fails when the
+# two drift. An unknown name is a warning rather than an error so the dump
+# stays usable on scripts from a newer engine, but a typo in a hand-edited
+# script still surfaces.
 KNOWN_FIXTURES = frozenset([
     "stack_hazard", "stack_hazard_cached", "stack_epoch",
     "stack_epoch_deferred", "stack_tagged", "stack_leaky",
